@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -205,87 +206,70 @@ def read_trace_csv(path):
     return schema, cols
 
 
-def _execute_cell(model, setup: OptimizerSetup, spec: ExperimentSpec,
-                  seed: int):
-    config = setup.build_config(model, spec.passes, seed,
-                                spec.record_every_pass)
+def _cell(model, spec: ExperimentSpec, idx: int, seed: int):
+    """One grid cell: (idx, seed, wall seconds, trace or None if the run
+    diverged, IFO total)."""
+    config = spec.optimizers[idx].build_config(model, spec.passes, seed,
+                                               spec.record_every_pass)
     t0 = time.perf_counter()
-    diverged = False
-    result = None
     try:
         result = run(model, config)
     except DivergenceError:
-        diverged = True
-    wall = time.perf_counter() - t0
-    return config, result, diverged, wall
+        return idx, seed, time.perf_counter() - t0, None, 0
+    return idx, seed, time.perf_counter() - t0, result.trace, result.total_ifo
 
 
-def _cell_payload(spec: ExperimentSpec, idx: int, seed: int):
-    dataset = spec.dataset.load()
-    model = spec.loss.build(dataset)
-    setup = spec.optimizers[idx]
-    config, result, diverged, wall = _execute_cell(model, setup, spec, seed)
-    if diverged or result is None:
-        return (idx, seed, True, wall, None, None, 0,
-                math.inf, math.inf)
-    trace = result.trace
-    return (idx, seed, False, wall,
-            (trace.passes, trace.ifo, trace.objective, trace.grad_sq),
-            None, result.total_ifo,
-            float(trace.grad_sq[-1]) if len(trace) else math.inf,
-            float(trace.objective[-1]) if len(trace) else math.inf)
+_worker = None  # (spec, model) of this pool worker, set by _load_worker
 
 
-def _cell_payload_star(args):
-    return _cell_payload(*args)
+def _load_worker(spec: ExperimentSpec):
+    global _worker
+    _worker = spec, spec.loss.build(spec.dataset.load())
+
+
+def _worker_cell(job):
+    spec, model = _worker
+    return _cell(model, spec, *job)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
     """Run the optimizer grid and write one CSV per (label, seed), a summary
-    (deterministic) and a metadata file (timing)."""
+    (deterministic) and a metadata file (timing).  The dataset is loaded
+    once, or once per worker process when ``workers > 1``."""
     spec.validate()
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(spec, i, seed)
-            for i in range(len(spec.optimizers)) for seed in spec.seeds]
+    jobs = [(i, seed) for i in range(len(spec.optimizers)) for seed in spec.seeds]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_cell_payload_star, jobs))
+        # spawn, not fork: a forked child can inherit a held BLAS thread lock
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_load_worker,
+                                 initargs=(spec,)) as pool:
+            raw = list(pool.map(_worker_cell, jobs))
     else:
-        dataset = spec.dataset.load()
-        model = spec.loss.build(dataset)
-        raw = []
-        for _, i, seed in jobs:
-            setup = spec.optimizers[i]
-            config, result, diverged, wall = _execute_cell(
-                model, setup, spec, seed)
-            if diverged or result is None:
-                raw.append((i, seed, True, wall, None, None, 0,
-                            math.inf, math.inf))
-            else:
-                tr = result.trace
-                raw.append((i, seed, False, wall,
-                            (tr.passes, tr.ifo, tr.objective, tr.grad_sq),
-                            None, result.total_ifo,
-                            float(tr.grad_sq[-1]) if len(tr) else math.inf,
-                            float(tr.objective[-1]) if len(tr) else math.inf))
+        model = spec.loss.build(spec.dataset.load())
+        raw = [_cell(model, spec, i, seed) for i, seed in jobs]
 
     # global best objective value anchors the suboptimality column
     f_best = math.inf
-    for rec in raw:
-        if not rec[2] and rec[4] is not None and rec[4][2].size:
-            f_best = min(f_best, float(rec[4][2].min()))
+    for *_, trace, _ in raw:
+        if trace is not None and len(trace):
+            f_best = min(f_best, float(trace.objective.min()))
     if not math.isfinite(f_best):
         f_best = 0.0
 
     cells = []
-    for idx, seed, diverged, wall, arrays, _, total_ifo, fin_g, fin_f in raw:
+    for idx, seed, wall, trace, total_ifo in raw:
         setup = spec.optimizers[idx]
         csv_path = out / f"{setup.label}_seed{seed}.csv"
-        if not diverged and arrays is not None:
-            write_trace_csv(csv_path, setup.algorithm, seed,
-                            _TraceView(*arrays), f_best)
+        diverged = trace is None
+        if not diverged:
+            write_trace_csv(csv_path, setup.algorithm, seed, trace, f_best)
+        ended = not diverged and len(trace) > 0
+        fin_g = float(trace.grad_sq[-1]) if ended else math.inf
+        fin_f = float(trace.objective[-1]) if ended else math.inf
         cells.append(CellResult(
             label=setup.label, algorithm=setup.algorithm, seed=seed,
             diverged=diverged,
@@ -305,15 +289,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
     (out / "metadata.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return summary
-
-
-class _TraceView:
-    def __init__(self, passes, ifo, objective, grad_sq):
-        self.passes, self.ifo = passes, ifo
-        self.objective, self.grad_sq = objective, grad_sq
-
-    def __len__(self):
-        return self.passes.size
 
 
 def _summarize(spec, cells, f_best) -> dict:

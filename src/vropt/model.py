@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .data import SparseRow  # noqa: F401  (re-exported)
 from .errors import ConfigError, ContractError, NumericError
 
 
@@ -40,32 +41,6 @@ class IfoCounter:
 
     def __repr__(self):
         return f"IfoCounter({self.count})"
-
-
-@dataclass(frozen=True)
-class SparseRow:
-    """One datum: sparse features plus a +/-1 label."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    label: float
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ContractError("indices and values must be 1-D and matching")
-        if idx.size and not np.all(np.diff(idx) > 0):
-            raise ContractError("indices must be strictly increasing")
-        if idx.size and idx[0] < 0:
-            raise ContractError("negative feature index")
-        if not np.all(np.isfinite(val)) or np.any(val == 0.0):
-            raise ContractError("values must be finite and nonzero")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    def sq_norm(self) -> float:
-        return float(self.values @ self.values)
 
 
 @dataclass(frozen=True)
@@ -105,35 +80,34 @@ class _MarginModel:
     """Shared machinery for losses of the form mean_i phi(b_i <a_i, x>) + r(x)."""
 
     def __init__(self, dataset, *, reg_smoothness: float):
-        rows = list(dataset.rows)
-        if not rows:
+        if not dataset.n:
             raise ConfigError("empty dataset")
-        self.n = len(rows)
+        self.n = dataset.n
         self.d = int(dataset.d)
-        self.name = getattr(dataset, "name", "unnamed")
-
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, r in enumerate(rows):
-            if r.indices.size and r.indices[-1] >= self.d:
-                raise ConfigError(f"row {i} has index >= d={self.d}")
-            indptr[i + 1] = indptr[i] + r.indices.size
-        indices = np.concatenate([r.indices for r in rows]) if rows else np.empty(0)
-        data = np.concatenate([r.values for r in rows])
-        self._A = sp.csr_matrix(
-            (data, indices.astype(np.int64), indptr), shape=(self.n, self.d)
-        )
+        self.name = dataset.name
+        # the dataset's validated arrays, shared: scipy's CSR constructor
+        # would copy the int64 index arrays down to int32
+        self._A = sp.csr_matrix((self.n, self.d))
+        self._A.indptr, self._A.indices = dataset.indptr, dataset.indices
+        self._A.data, self._b = dataset.values, dataset.y
+        # indexing a memoryview gives a Python number, faster than numpy's
+        self._bounds, self._labels = memoryview(dataset.indptr), memoryview(dataset.y)
         self._AT = self._A.T.tocsr()  # cached: building A.T per call is costly
-        self._b = np.array([float(r.label) for r in rows])
-        if not np.all(np.isin(self._b, (-1.0, 1.0))):
-            raise ConfigError("labels must be +/-1")
-        # per-row views for the scalar (hot-loop) oracle path
-        self._ridx = [r.indices for r in rows]
-        self._rval = [r.values for r in rows]
-        self._blist = [float(r.label) for r in rows]
-        self.row_sq_norms = np.array([r.sq_norm() for r in rows])
+        # one BLAS dot per row, as SparseRow.sq_norm: a vectorised sum rounds
+        # differently in the last bit, and L sets every step size
+        ptr, vals = dataset.indptr.tolist(), dataset.values
+        self.row_sq_norms = np.array(
+            [vals[lo:hi] @ vals[lo:hi] for lo, hi in zip(ptr, ptr[1:])])
         self.lipschitz = self.row_sq_norms / 4.0 + reg_smoothness
         self.L = float(self.lipschitz.max())
         self.L_bar = float(self.lipschitz.mean())
+
+    def _row(self, i):
+        """(indices, values, label) of row i; the arrays are views."""
+        if not 0 <= i < self.n:
+            raise ContractError(f"component index {i} out of range [0, {self.n})")
+        lo, hi = self._bounds[i], self._bounds[i + 1]
+        return self._A.indices[lo:hi], self._A.data[lo:hi], self._labels[i]
 
     # regularizer hooks -----------------------------------------------------
     def _reg_value(self, x: np.ndarray) -> float:
@@ -145,12 +119,8 @@ class _MarginModel:
     # oracle contract -------------------------------------------------------
     def component_gradient(self, i: int, x, counter: IfoCounter | None = None):
         """grad f_i(x).  Counts one IFO call on the supplied counter."""
-        if not 0 <= i < self.n:
-            raise ContractError(f"component index {i} out of range [0, {self.n})")
+        idx, val, b = self._row(i)
         x = _check_x(x, self.d)
-        idx = self._ridx[i]
-        val = self._rval[i]
-        b = self._blist[i]
         z = b * float(val @ x[idx])
         c = -b * _stable_neg_sigmoid(z)
         g = self._reg_gradient(x)
@@ -182,10 +152,9 @@ class _MarginModel:
 
     def component_value(self, i: int, x) -> float:
         """f_i(x), used by the finite-difference oracle."""
-        if not 0 <= i < self.n:
-            raise ContractError(f"component index {i} out of range [0, {self.n})")
+        idx, val, b = self._row(i)
         x = _check_x(x, self.d)
-        z = self._blist[i] * float(self._rval[i] @ x[self._ridx[i]])
+        z = b * float(val @ x[idx])
         return _stable_log1pexp(z) + self._reg_value(x)
 
     def smoothness_constants(self) -> SmoothnessConstants:
@@ -276,18 +245,6 @@ class NonconvexLogisticModel(_MarginModel):
 
 
 # spec-level functional aliases ---------------------------------------------
-
-def component_gradient(model, i, x, counter=None):
-    return model.component_gradient(i, x, counter)
-
-
-def full_gradient(model, x, counter=None):
-    return model.full_gradient(x, counter)
-
-
-def objective(model, x):
-    return model.objective(x)
-
 
 def smoothness_constants(model) -> SmoothnessConstants:
     return model.smoothness_constants()

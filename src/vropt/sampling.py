@@ -112,7 +112,8 @@ class Rng:
                 return r % n
 
     def below_block(self, n: int, size: int) -> np.ndarray:
-        """Block of exactly uniform integers in [0, n)."""
+        """Block of exactly uniform integers in [0, n): the same values, and
+        the same stream position after them, as ``size`` calls of below()."""
         if n < 1:
             raise ContractError("below_block() requires n >= 1")
         if n == 1:
@@ -120,15 +121,18 @@ class Rng:
             return np.zeros(size, dtype=np.int64)
         rem = (1 << 64) % n
         bound = np.uint64((1 << 64) - rem) if rem else None  # None: no rejection
-        out = np.empty(size, dtype=np.int64)
+        out = np.empty(size, dtype=np.int64 if n <= 1 << 63 else np.uint64)
         filled = 0
         while filled < size:
             want = size - filled
             # oversample a little to cover rejections in one pass, usually
             raw = self.u64_block(want + (want >> 6) + 4)
-            ok = (raw if bound is None else raw[raw < bound])[:want]
-            out[filled:filled + ok.size] = (ok % np.uint64(n)).astype(np.int64)
-            filled += ok.size
+            used = (np.arange(want) if bound is None
+                    else np.flatnonzero(raw < bound)[:want])
+            if used.size == want:  # give back the draws past the last one used
+                self._ctr -= raw.size - 1 - int(used[-1])
+            out[filled:filled + used.size] = raw[used] % np.uint64(n)
+            filled += used.size
         return out
 
 

@@ -33,7 +33,7 @@ from vropt.optim import (
     run,
     theta_strongly_convex,
 )
-from conftest import make_homogeneous_dataset
+from helpers import make_homogeneous_dataset
 
 
 def report(num, description, passed, detail=""):

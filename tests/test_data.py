@@ -2,16 +2,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vropt import data as data_mod
 from vropt.data import (
+    Dataset,
+    SparseRow,
     SyntheticSpec,
     generate_synthetic,
     parse_libsvm,
     subsample,
     write_libsvm,
 )
-from vropt.errors import ConfigError, ParseError
+from vropt.errors import ConfigError, ContractError, ParseError
 from vropt.model import LogisticModel
+from vropt.sampling import Rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,6 +89,53 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             parse_libsvm("\n\n")
 
+    @pytest.mark.parametrize("block, chunk", [(None, None), (5, 3)])
+    @pytest.mark.parametrize("text, line_no", [
+        ("+1 1:1\nnot_a_label 1:1\n", 2),       # bad label
+        ("+1 1:1\n\n-1 2:1 3\n", 3),            # bad feature token
+        ("+1 1:1\r\n-1 2:1\r\n+1 0:1\r\n", 3),  # index < 1
+        ("+1 1:1 4:1\n-1 5:1 5:2\n", 2),        # non-increasing index
+        ("-1 1:1\n+1 2:1 3:nan\n", 2),          # non-finite value
+        ("+1 2:1 1:1\n-1 x:1\n", 1),            # the first bad line wins
+        ("3 1:1\n", None),                       # unsupported label set
+        ("\n \n", None),                         # no data lines
+    ])
+    def test_malformed_input_names_its_line(self, monkeypatch, text, line_no,
+                                            block, chunk):
+        # small blocks and chunks split the text and its numbers the way a
+        # large file is split
+        if block is not None:
+            monkeypatch.setattr(data_mod, "_BLOCK", block)
+            monkeypatch.setattr(data_mod, "_CHUNK", chunk)
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(text)
+        assert err.value.line_no == line_no
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+               st.booleans(),
+               st.dictionaries(st.integers(1, 40),
+                               st.one_of(st.just(0.0), st.floats(
+                                   allow_nan=False, allow_infinity=False)),
+                               max_size=6)),
+           min_size=1, max_size=8),
+           convention=st.sampled_from([("+1", "-1"), ("1", "0"), ("1", "2")]),
+           small_blocks=st.booleans())
+    def test_random_rows_round_trip(self, rows, convention, small_blocks):
+        def line(positive, feats, labels):
+            return " ".join([labels[0] if positive else labels[1]]
+                            + [f"{k}:{v!r}" for k, v in sorted(feats.items())])
+        text = "".join(line(p, f, convention) + "\n" for p, f in rows)
+        written = "".join(
+            line(p, {k: v for k, v in f.items() if v != 0.0}, ("+1", "-1"))
+            + "\n" for p, f in rows)
+        block = 7 if small_blocks else data_mod._BLOCK
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_mod, "_BLOCK", block)
+            ds = parse_libsvm(text)
+        assert write_libsvm(ds) == written
+        assert datasets_equal(parse_libsvm(written, d=ds.d), ds)
+
     @pytest.mark.parametrize("name",
                              ["tiny_pm1.libsvm", "tiny_01.libsvm",
                               "tiny_12.libsvm"])
@@ -114,6 +167,16 @@ class TestSubsample:
         with pytest.raises(ConfigError):
             subsample(tiny_dataset, 0, seed=0)
 
+    def test_row_order_follows_the_draw(self, tiny_dataset):
+        # reference: the partial Fisher-Yates shuffle over a Python list
+        rng, pool = Rng(5, stream=20), list(range(tiny_dataset.n))
+        for i in range(7):
+            j = i + rng.below(tiny_dataset.n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        rows = tiny_dataset.rows
+        expected = Dataset(rows=[rows[i] for i in pool[:7]], d=tiny_dataset.d)
+        assert datasets_equal(subsample(tiny_dataset, 7, seed=5), expected)
+
     def test_seeds_give_different_index_sets(self):
         ds = generate_synthetic(SyntheticSpec(n=100, d=3, seed=0))
         differing = 0
@@ -124,6 +187,44 @@ class TestSubsample:
             keys_b = {tuple(r.values) for r in b.rows}
             differing += keys_a != keys_b
         assert differing >= 99
+
+
+class TestDataset:
+    VALID = dict(indptr=[0, 2, 2, 3], indices=[0, 3, 1],
+                 values=[1.0, -2.0, 0.5], y=[1.0, -1.0, 1.0])
+
+    def test_rows_view_the_arrays(self):
+        ds = Dataset(**self.VALID, d=4)
+        assert ds.n == 3
+        assert [r.label for r in ds.rows] == [1.0, -1.0, 1.0]
+        assert [list(r.indices) for r in ds.rows] == [[0, 3], [], [1]]
+        assert all(np.shares_memory(r.values, ds.values)
+                   for r in ds.rows if r.values.size)
+        again = Dataset(rows=ds.rows, d=4)
+        assert datasets_equal(again, ds)
+
+    def test_arrays_are_read_only(self):
+        ds = Dataset(**self.VALID, d=4)
+        with pytest.raises(ValueError):
+            ds.values[0] = 3.0
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("indices", [3, 0, 1], ContractError),     # decreasing within a row
+        ("indices", [0, 3, -1], ContractError),
+        ("values", [1.0, 0.0, 0.5], ContractError),
+        ("values", [1.0, np.inf, 0.5], ContractError),
+        ("indptr", [0, 2, 1, 3], ContractError),
+        ("indptr", [0, 2, 3], ContractError),      # one row short
+        ("indices", [0, 3, 4], ConfigError),       # index >= d
+        ("y", [1.0, 0.0, 1.0], ConfigError),
+    ])
+    def test_contract_checked_for_all_rows(self, field, value, error):
+        with pytest.raises(error):
+            Dataset(**{**self.VALID, field: value}, d=4)
+
+    def test_sparse_row_enforces_the_same_contract(self):
+        with pytest.raises(ContractError):
+            SparseRow(indices=np.array([2, 2]), values=np.ones(2), label=1.0)
 
 
 class TestGenerateSynthetic:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vropt.data import Dataset
+from vropt.data import Dataset, parse_libsvm
 from vropt.errors import ConfigError, ContractError, NumericError
 from vropt.model import (
     IfoCounter,
@@ -169,6 +169,28 @@ class TestSmoothness:
         assert np.allclose(model.lipschitz, sq / 4 + 2 * alpha, atol=0)
         assert model.mu == 0.0
         assert model.convexity == "nonconvex"
+
+    def test_model_wraps_the_dataset_arrays(self, tiny_dataset):
+        model = LogisticModel(tiny_dataset, lam=0.0)
+        for mine, theirs in ((model._A.indptr, tiny_dataset.indptr),
+                             (model._A.indices, tiny_dataset.indices),
+                             (model._A.data, tiny_dataset.values)):
+            assert np.shares_memory(mine, theirs)
+
+    def test_rows_and_text_give_bit_identical_oracles(self):
+        rows = (SparseRow(np.array([0, 3]), np.array([1.5, -2.0]), 1.0),
+                SparseRow(np.array([1]), np.array([0.25]), -1.0),
+                SparseRow(np.array([0, 1, 4]), np.array([3.0, 1e-3, -7.5]), 1.0))
+        text = "+1 1:1.5 4:-2.0\n-1 2:0.25\n+1 1:3.0 2:0.001 5:-7.5\n"
+        a = LogisticModel(Dataset(rows=rows, d=5), lam=0.01)
+        b = LogisticModel(parse_libsvm(text), lam=0.01)
+        x = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
+        assert np.array_equal(a.lipschitz, b.lipschitz)
+        assert np.array_equal(a.full_gradient(x), b.full_gradient(x))
+        assert a.objective(x) == b.objective(x)
+        for i in range(3):
+            assert np.array_equal(a.component_gradient(i, x),
+                                  b.component_gradient(i, x))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):

@@ -21,7 +21,7 @@ from vropt.optim import (
 )
 from vropt.sampling import STREAM_OUTPUT, Rng, draw_uniform_index
 
-from conftest import make_homogeneous_dataset
+from helpers import make_homogeneous_dataset
 
 
 @pytest.fixture(scope="module")

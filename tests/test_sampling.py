@@ -44,6 +44,13 @@ class TestRng:
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() < 13
 
+    @pytest.mark.parametrize("n", [13, 1, 2**63 + 5])  # the last rejects ~1/2
+    def test_below_block_continues_like_scalar_draws(self, n):
+        scalar, block = Rng(9, 4), Rng(9, 4)
+        expected = [scalar.below(n) for _ in range(10)]
+        assert block.below_block(n, 10).tolist() == expected
+        assert block.next_u64() == scalar.next_u64()
+
 
 class TestUniformIndex:
     def test_n1_always_zero(self):
