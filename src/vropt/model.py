@@ -79,12 +79,18 @@ def _stable_log1pexp(z: float) -> float:
 class _MarginModel:
     """Shared machinery for losses of the form mean_i phi(b_i <a_i, x>) + r(x)."""
 
+    # lam when r(x) = (lam/2) ||x||^2, whose gradient is linear in x; None
+    # for other regularizers.  vropt.optim runs its recursive estimators
+    # lazily (O(nnz) per step) only when this is set.
+    ridge = None
+
     def __init__(self, dataset, *, reg_smoothness: float):
         if not dataset.n:
             raise ConfigError("empty dataset")
         self.n = dataset.n
         self.d = int(dataset.d)
         self.name = dataset.name
+        self.mean_row_nnz = dataset.indices.size / self.n
         # the dataset's validated arrays, shared: scipy's CSR constructor
         # would copy the int64 index arrays down to int32
         self._A = sp.csr_matrix((self.n, self.d))
@@ -118,8 +124,20 @@ class _MarginModel:
 
     # oracle contract -------------------------------------------------------
     def component_gradient(self, i: int, x, counter: IfoCounter | None = None):
-        """grad f_i(x).  Counts one IFO call on the supplied counter."""
+        """grad f_i(x).  Counts one IFO call on the supplied counter.
+
+        ``x`` may also be a lazily held iterate, any object with a
+        ``gather(idx)`` method returning ``x[idx]`` (vropt.optim's sparse
+        inner steps).  The gradient then comes in sparse form: the data
+        coefficient ``c`` and row i's support, ``(c, idx, val)``, with
+        grad f_i(x) = c * a_i + grad r(x) and a_i equal to ``val`` at ``idx``.
+        """
         idx, val, b = self._row(i)
+        if type(x) is not np.ndarray and hasattr(x, "gather"):
+            c = -b * _stable_neg_sigmoid(b * float(val @ x.gather(idx)))
+            if counter is not None:
+                counter.add(1)
+            return c, idx, val
         x = _check_x(x, self.d)
         z = b * float(val @ x[idx])
         c = -b * _stable_neg_sigmoid(z)
@@ -175,8 +193,7 @@ class _MarginModel:
             Z = self._b[:, None] * self._A.dot(chunk.T)
             coef = (-self._b[:, None] * expit(-Z)) / self.n
             G = np.asarray(self._AT.dot(coef)).T
-            for r in range(chunk.shape[0]):
-                G[r] += self._reg_gradient(chunk[r])
+            G += self._reg_gradient(chunk)
             out[lo:lo + chunk.shape[0]] = G
         return out
 
@@ -200,8 +217,7 @@ class _MarginModel:
         z = b * np.einsum("ij,ij->i", rows, X)
         c = -b * expit(-z)
         G = c[:, None] * rows
-        for r in range(X.shape[0]):
-            G[r] += self._reg_gradient(X[r])
+        G += self._reg_gradient(X)
         return G
 
 
@@ -212,7 +228,7 @@ class LogisticModel(_MarginModel):
         if lam < 0:
             raise ConfigError("lam must be >= 0")
         super().__init__(dataset, reg_smoothness=lam)
-        self.lam = float(lam)
+        self.lam = self.ridge = float(lam)
         self.mu = float(lam)
         self.convexity = "strongly-convex" if lam > 0 else "convex"
 

@@ -22,6 +22,17 @@ and the initial anchor gradient costs n.  Objective evaluations are free.
 Every run is bit-reproducible from (config, seed): index draws, snapshot
 coin flips and output draws consume three separate substreams, so changing
 m never perturbs the i_t sequence.
+
+Inner steps
+-----------
+SARAH, SARAH-LI, D2S, L2S and L2S-SC keep the recursion in an estimator
+state object (snapshot / step / materialise).  The dense state works on
+explicit iterates.  On sparse L2-regularized data (see ``inner_step``),
+the lazy state holds v = alpha u and x = y - eta B u and steps in O(nnz) of
+the sampled row.  It builds full vectors only at snapshots, trace records,
+restart points, the output and, with ``record_iterates``, every step.
+Draws, IFO counts and snapshot events are the same on both paths, and the
+iterates agree to rounding.  ``RunResult.inner_step`` records the path.
 """
 
 from __future__ import annotations
@@ -143,6 +154,7 @@ class RunResult:
     restart_points: list = field(default_factory=list)  # x~ per outer loop
     stopped_early: bool = False
     reached_grad_target: bool = False
+    inner_step: str = "dense"            # "sparse": lazy O(nnz) recursion
 
     @property
     def snapshot_count(self) -> int:
@@ -221,10 +233,32 @@ class _Run:
             self.iterates.append(x.copy())
 
     def guard(self, x, t):
+        self.guard_sq(float(x @ x), t)
+
+    def guard_sq(self, nx, t):
         self._last_t = t
-        nx = float(x @ x)
         if not math.isfinite(nx) or nx > _DIVERGE_SQ:
             raise DivergenceError("iterate norm exploded", t)
+
+    def recursion(self):
+        """The recursive estimator's state for this run's model."""
+        sparse = inner_step(self.model, self.config.algorithm) == "sparse"
+        cls = _LazyRecursion if sparse else _DenseRecursion
+        return cls(self.model, self.config.eta, self.counter)
+
+    def advance(self, est, t, first_step_cap=None):
+        """Per-step bookkeeping of the recursive loops: guard, iterate log,
+        first-step descent check and trace record, in that order.  The
+        iterate is materialised only for what reads it."""
+        self.guard_sq(est.sq_norm(), t)
+        if self.iterates is not None:
+            self.iterates.append(est.materialise().copy())
+        if first_step_cap is not None:
+            self.check_first_step(est.materialise(), self.config.eta,
+                                  first_step_cap)
+        rec = self._rec_step is not None
+        if rec and self.counter.count >= self._next_thresh:
+            self.record(est.materialise())
 
     def over_budget(self) -> bool:
         cap = self.config.max_ifo
@@ -243,7 +277,8 @@ class _Run:
                     f"F(x1)={self.f1!r} > F(x0)={self.f0!r} at eta={eta0!r}"
                 )
 
-    def finish(self, x_out, total_iterations, bernoulli=None) -> RunResult:
+    def finish(self, x_out, total_iterations, bernoulli=None,
+               inner_step="dense") -> RunResult:
         rows = self._rows
         trace = Trace(
             passes=np.array([r[0] for r in rows]),
@@ -270,7 +305,151 @@ class _Run:
             restart_points=self.restart_points,
             stopped_early=self.stopped,
             reached_grad_target=self.hit_target,
+            inner_step=inner_step,
         )
+
+
+# --------------------------------------------------------------------------
+# Recursive estimator state: v_t = grad f_i(x_t) - grad f_i(x_{t-1}) + v_{t-1}
+# (increment divided by w_i = n p_i for D2S), x_{t+1} = x_t - eta v_t.
+# --------------------------------------------------------------------------
+
+_LAZY_ALGORITHMS = ("SARAH", "SARAH-LI", "D2S", "L2S", "L2S-SC")
+_SPARSE_MIN_D = 512
+_SPARSE_MAX_FILL = 0.25        # mean row nnz / d
+# x = y - eta B u cancels terms of size eta |B| |v| / |alpha|; the state is
+# renormalised (an O(d) fold) once |B| exceeds this multiple of |alpha|
+_REBASE_RATIO = 1e4
+
+
+def inner_step(model, algorithm: str) -> str:
+    """"sparse" when ``algorithm`` runs its inner steps lazily in O(nnz) on
+    ``model``, else "dense".
+
+    Only the recursive estimators have a lazy form, and it needs an L2
+    regularizer (``model.ridge``), which makes the recursion affine off the
+    sampled row.  Below d = 512, or with rows filling over a quarter of d,
+    the measured gain is small (README, "Sparse inner steps"), so such
+    models keep the dense path, which is the bit-exact reference.
+    Read through plain attribute access, so a delegating proxy gets the
+    same answer.
+    """
+    d = model.d
+    sparse = (algorithm in _LAZY_ALGORITHMS and model.ridge is not None
+              and d >= _SPARSE_MIN_D
+              and model.mean_row_nnz <= _SPARSE_MAX_FILL * d)
+    return "sparse" if sparse else "dense"
+
+
+class _DenseRecursion:
+    """The recursion on explicit iterates (the reference arithmetic)."""
+
+    kind = "dense"
+
+    def __init__(self, model, eta, counter):
+        self.model, self.eta, self.counter = model, eta, counter
+
+    def snapshot(self, x, v):
+        """Restart at x with v = grad F(x), then take the step x - eta v."""
+        self.v, self.prev = v, x
+        self.cur = x - self.eta * v
+
+    def step(self, i, weight=None):
+        cg = self.model.component_gradient
+        diff = cg(i, self.cur, self.counter) - cg(i, self.prev, self.counter)
+        self.v = diff + self.v if weight is None else diff / weight + self.v
+        self.prev, self.cur = self.cur, self.cur - self.eta * self.v
+
+    def materialise(self, prev=False):
+        return self.prev if prev else self.cur
+
+    def sq_norm(self):
+        return float(self.cur @ self.cur)
+
+
+class _LazyPoint:
+    """x_t (or x_{t-1}) of a _LazyRecursion, gathered on a row's support."""
+
+    __slots__ = ("state", "prev")
+
+    def __init__(self, state, prev):
+        self.state, self.prev = state, prev
+
+    def gather(self, idx):
+        st = self.state
+        B = st.B - st.alpha if self.prev else st.B
+        return st.y[idx] - (st.eta * B) * st.u[idx]
+
+
+class _LazyRecursion:
+    """The recursion held lazily for an L2-regularized margin loss, in O(nnz)
+    per step.
+
+    With grad f_i(x) = c_i(x) a_i + lam x and x_t - x_{t-1} = -eta v_{t-1},
+    a step is v_t = rho v_{t-1} + s a_i with rho = 1 - lam eta / w_i and
+    s = (c_i(x_t) - c_i(x_{t-1})) / w_i: affine off row i's support S.  The
+    state is v = alpha u and x_t = y - eta B u with scalars alpha and B, and
+    x_{t-1} = y - eta (B - alpha) u.  A step is alpha <- rho alpha,
+    u[S] += (s / alpha) a_i[S], y[S] += eta B du[S], B <- B + alpha.  The
+    running sums y.y, y.u and u.u give ||x_t||^2 for the divergence guard.
+    Full vectors are built only by ``materialise``.
+    """
+
+    kind = "sparse"
+
+    def __init__(self, model, eta, counter):
+        self.model, self.eta, self.counter = model, eta, counter
+        self.lam_eta = model.ridge * eta
+        self.cur, self.prev = _LazyPoint(self, False), _LazyPoint(self, True)
+
+    def snapshot(self, x, v):
+        """Restart at x with v = grad F(x), then take the step x - eta v."""
+        self.y = np.array(x, dtype=np.float64)
+        self.u = np.array(v, dtype=np.float64)
+        self.alpha = self.B = 1.0
+        self._resum()
+
+    def _resum(self):
+        # einsum, not BLAS: at d ~ 5e4 a threaded BLAS dot waited 6-8 ms
+        # for its worker thread on a busy 2-vCPU machine; einsum takes 20 us
+        y, u = self.y, self.u
+        self.yy, self.yu, self.uu = (float(np.einsum("i,i->", a, b))
+                                     for a, b in ((y, y), (y, u), (u, u)))
+
+    def step(self, i, weight=None):
+        cg = self.model.component_gradient
+        c1, idx, val = cg(i, self.cur, self.counter)
+        c0 = cg(i, self.prev, self.counter)[0]
+        if weight is None:
+            rho, s = 1.0 - self.lam_eta, c1 - c0
+        else:
+            rho, s = 1.0 - self.lam_eta / weight, (c1 - c0) / weight
+        alpha = self.alpha * rho
+        if abs(self.B) > _REBASE_RATIO * abs(alpha):
+            # fold alpha into u and eta B u into y, so that v = u and x_t = y
+            self.y -= (self.eta * self.B) * self.u
+            self.u *= alpha
+            self.B, alpha = 0.0, 1.0
+            self._resum()
+        u, y, eB = self.u, self.y, self.eta * self.B
+        du = (s / alpha) * val
+        uS, yS = u[idx], y[idx]
+        u[idx] = uS + du
+        y[idx] = yS + eB * du
+        p, q, r = float(du @ du), float(du @ uS), float(du @ yS)
+        self.uu += 2.0 * q + p
+        self.yu += r + eB * (q + p)
+        self.yy += eB * (2.0 * r + eB * p)
+        self.alpha = alpha
+        self.B += alpha
+
+    def materialise(self, prev=False):
+        B = self.B - self.alpha if prev else self.B
+        return self.y - (self.eta * B) * self.u
+
+    def sq_norm(self):
+        eB = self.eta * self.B
+        return self.yy - eB * (2.0 * self.yu - eB * self.uu)
 
 
 def run_gd(model, config: OptimizerConfig) -> RunResult:
@@ -369,37 +548,32 @@ def _run_sarah_family(model, config, *, last_iterate: bool,
     """SARAH / SARAH-LI / D2S share one loop; they differ only in the restart
     rule and in how i_t is drawn and the increment weighted."""
     st = _Run(model, config)
-    eta, m, n = config.eta, config.m, model.n
+    m, n = config.m, model.n
     idx_rng = st.streams["index"]
     out_rng = st.streams["output"]
     weights = table.weights if table is not None else None
+    first_cap = model.L_bar if table is not None else model.L
+    est = st.recursion()
     x_tilde = st.x0
     st.note_iterate(x_tilde)
     st.record(x_tilde)
     t_global = 0
     for s in range(config.S):
-        x_prev = x_tilde
-        v = model.full_gradient(x_prev, st.counter)
-        st.note_snapshot(t_global, v, x_prev)
-        st.restart_points.append(x_prev)
+        v = model.full_gradient(x_tilde, st.counter)
+        st.note_snapshot(t_global, v, x_tilde)
+        st.restart_points.append(x_tilde)
         if st.stopped:
-            x_tilde = x_prev
             break
         if last_iterate:
             a = m  # deterministic restart index
         else:
             a = draw_uniform_index(out_rng, m + 1)
-        keep = x_prev if a == 0 else None
-        x_cur = x_prev - eta * v
+        keep = x_tilde if a == 0 else None
+        est.snapshot(x_tilde, v)
         t_global += 1
-        st.guard(x_cur, t_global)
-        st.note_iterate(x_cur)
-        if s == 0:
-            st.check_first_step(x_cur, eta,
-                                model.L_bar if table is not None else model.L)
-        st.record(x_cur)
+        st.advance(est, t_global, first_step_cap=None if s else first_cap)
         if a == 1:
-            keep = x_cur
+            keep = est.materialise()
         aborted = st.over_budget()
         if not aborted:
             for t in range(1, m + 1):
@@ -407,33 +581,23 @@ def _run_sarah_family(model, config, *, last_iterate: bool,
                      else draw_uniform_index(idx_rng, n))
                 if st.indices is not None:
                     st.indices.append(i)
-                diff = (model.component_gradient(i, x_cur, st.counter)
-                        - model.component_gradient(i, x_prev, st.counter))
-                if weights is not None:
-                    v = diff / weights[i] + v
-                else:
-                    v = diff + v
-                x_prev, x_cur = x_cur, x_cur - eta * v
+                est.step(i, weights[i] if weights is not None else None)
                 t_global += 1
-                st.guard(x_cur, t_global)
-                st.note_iterate(x_cur)
-                st.record(x_cur)
+                st.advance(est, t_global)
                 if t + 1 == a:
-                    keep = x_cur
+                    keep = est.materialise()
                 if st.over_budget():
                     aborted = True
                     break
-        if m == 0:
-            # degenerate inner loop: the only progress is the anchored step,
-            # restart from it (a pure full-gradient outer loop)
-            x_tilde = x_cur
-        elif aborted:
-            x_tilde = x_cur
+        if m == 0 or aborted:
+            # m == 0: the only progress is the anchored step, restart from
+            # it (a pure full-gradient outer loop)
+            x_tilde = est.materialise()
         else:
-            x_tilde = keep if keep is not None else x_prev
+            x_tilde = keep if keep is not None else est.materialise(prev=True)
         if st.stopped:
             break
-    return st.finish(x_tilde, t_global)
+    return st.finish(x_tilde, t_global, inner_step=est.kind)
 
 
 def run_sarah(model, config: OptimizerConfig) -> RunResult:
@@ -458,51 +622,47 @@ def run_l2s(model, config: OptimizerConfig) -> RunResult:
     """Loopless SARAH: per-iteration Bernoulli(1/m) snapshot decision.
     IFO = n + sum_t (n if B_t else 2)."""
     st = _Run(model, config)
-    eta, m, n, T = config.eta, config.m, model.n, config.T
+    m, n, T = config.m, model.n, config.T
     idx_rng = st.streams["index"]
     snap_rng = st.streams["snapshot"]
     out_rng = st.streams["output"]
     bern = np.zeros(T, dtype=np.uint8)
+    est = st.recursion()
 
-    x_prev = st.x0
-    st.note_iterate(x_prev)
-    st.record(x_prev)
-    v = model.full_gradient(x_prev, st.counter)
-    st.note_snapshot(0, v, x_prev)
+    x = st.x0
+    st.note_iterate(x)
+    st.record(x)
+    v = model.full_gradient(x, st.counter)
+    st.note_snapshot(0, v, x)
     a = 1 + draw_uniform_index(out_rng, T)  # output index in {1..T}
-    x_cur = x_prev - eta * v
-    st.guard(x_cur, 1)
-    st.note_iterate(x_cur)
-    st.check_first_step(x_cur, eta, model.L)
-    st.record(x_cur)
-    keep = x_cur if a == 1 else None
+    est.snapshot(x, v)
+    st.advance(est, 1, first_step_cap=model.L)
+    keep = est.materialise() if a == 1 else None
     t = 0
     updates = 1  # the anchored step above
     if not st.over_budget():
         for t in range(1, T + 1):
             if draw_snapshot_flag(snap_rng, m):
                 bern[t - 1] = 1
-                v = model.full_gradient(x_cur, st.counter)
-                st.note_snapshot(t, v, x_cur)
+                x = est.materialise()
+                v = model.full_gradient(x, st.counter)
+                st.note_snapshot(t, v, x)
                 if st.hit_target:
-                    break  # x_cur is the certified point
+                    break  # x is the certified point
+                est.snapshot(x, v)
             else:
                 i = draw_uniform_index(idx_rng, n)
                 if st.indices is not None:
                     st.indices.append(i)
-                v = (model.component_gradient(i, x_cur, st.counter)
-                     - model.component_gradient(i, x_prev, st.counter)) + v
-            x_prev, x_cur = x_cur, x_cur - eta * v
+                est.step(i)
             updates += 1
-            st.guard(x_cur, t + 1)
-            st.note_iterate(x_cur)
-            st.record(x_cur)
+            st.advance(est, t + 1)
             if t + 1 == a:
-                keep = x_cur
+                keep = est.materialise()
             if st.over_budget():
                 break
-    x_out = keep if (keep is not None and not st.stopped) else x_cur
-    return st.finish(x_out, updates, bernoulli=bern[:t])
+    x_out = est.materialise() if keep is None or st.stopped else keep
+    return st.finish(x_out, updates, bernoulli=bern[:t], inner_step=est.kind)
 
 
 def run_l2s_sc(model, config: OptimizerConfig) -> RunResult:
@@ -510,50 +670,49 @@ def run_l2s_sc(model, config: OptimizerConfig) -> RunResult:
     snapshot gradient is drawn, runs until S snapshot events, outputs the
     final iterate.  The total iteration count is random and is recorded."""
     st = _Run(model, config)
-    eta, m, n, S = config.eta, config.m, model.n, config.S
+    m, n, S = config.m, model.n, config.S
     idx_rng = st.streams["index"]
     snap_rng = st.streams["snapshot"]
     bern = []
+    est = st.recursion()
 
-    x_prev = st.x0
-    st.note_iterate(x_prev)
-    st.record(x_prev)
-    v = model.full_gradient(x_prev, st.counter)
-    st.note_snapshot(0, v, x_prev)
-    x_cur = x_prev - eta * v
-    st.guard(x_cur, 1)
-    st.note_iterate(x_cur)
-    st.check_first_step(x_cur, eta, model.L)
-    st.record(x_cur)
+    x = st.x0
+    st.note_iterate(x)
+    st.record(x)
+    v = model.full_gradient(x, st.counter)
+    st.note_snapshot(0, v, x)
+    est.snapshot(x, v)
+    st.advance(est, 1, first_step_cap=model.L)
+    x_out = None  # set when a snapshot certifies its point
     t = 1
     s = 0
     while s != S and not st.over_budget():
         if draw_snapshot_flag(snap_rng, m):
             bern.append(1)
-            if config.step_back:
-                # Line "x_t = x_{t-1}": the iterate is reassigned, so the
-                # recorded sequence reflects the stepped-back value
-                x_cur = x_prev
-                if st.iterates is not None:
-                    st.iterates[-1] = x_prev.copy()
-            v = model.full_gradient(x_cur, st.counter)
-            st.note_snapshot(t, v, x_cur)
+            # Line "x_t = x_{t-1}": the iterate is reassigned, so the
+            # recorded sequence reflects the stepped-back value
+            x = est.materialise(prev=config.step_back)
+            if config.step_back and st.iterates is not None:
+                st.iterates[-1] = x.copy()
+            v = model.full_gradient(x, st.counter)
+            st.note_snapshot(t, v, x)
             s += 1
             if st.hit_target:
-                break  # x_cur is the certified point
+                x_out = x
+                break  # x is the certified point
+            est.snapshot(x, v)
         else:
             bern.append(0)
             i = draw_uniform_index(idx_rng, n)
             if st.indices is not None:
                 st.indices.append(i)
-            v = (model.component_gradient(i, x_cur, st.counter)
-                 - model.component_gradient(i, x_prev, st.counter)) + v
-        x_prev, x_cur = x_cur, x_cur - eta * v
+            est.step(i)
         t += 1
-        st.guard(x_cur, t)
-        st.note_iterate(x_cur)
-        st.record(x_cur)
-    return st.finish(x_cur, t, bernoulli=np.array(bern, dtype=np.uint8))
+        st.advance(est, t)
+    if x_out is None:
+        x_out = est.materialise()
+    return st.finish(x_out, t, bernoulli=np.array(bern, dtype=np.uint8),
+                     inner_step=est.kind)
 
 
 _RUNNERS = {

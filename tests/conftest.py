@@ -3,7 +3,7 @@ import pytest
 from vropt.data import SyntheticSpec, generate_synthetic
 from vropt.model import LogisticModel, NonconvexLogisticModel
 
-from helpers import make_homogeneous_dataset
+from helpers import make_homogeneous_dataset, make_sparse_dataset
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,10 @@ def nonconvex_model(tiny_dataset):
 @pytest.fixture(scope="session")
 def homogeneous_dataset():
     return make_homogeneous_dataset()
+
+
+@pytest.fixture(scope="session")
+def sparse_model():
+    """L2-logistic on sparse rows (d = 1024, 12 nonzeros per row): the
+    recursive optimizers take their lazy inner steps on it."""
+    return LogisticModel(make_sparse_dataset(), lam=1e-3)

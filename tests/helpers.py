@@ -16,3 +16,17 @@ def make_homogeneous_dataset(n=16, d=24, nnz=4, value=1.5):
                               values=np.full(nnz, value),
                               label=1.0 if i % 2 == 0 else -1.0))
     return Dataset(rows=tuple(rows), d=d, name="homogeneous")
+
+
+def make_sparse_dataset(n=300, d=1024, nnz=12, seed=0, scale=1.0):
+    """Random rows of ``nnz`` nonzeros each over ``d`` columns, values of
+    size about ``scale`` / sqrt(nnz): sparse enough that the recursive
+    optimizers take their lazy O(nnz) inner steps."""
+    rng = np.random.default_rng(seed)
+    indices = np.concatenate(
+        [np.sort(rng.choice(d, nnz, replace=False)) for _ in range(n)])
+    values = scale * (0.1 + rng.random(n * nnz)) / np.sqrt(nnz)
+    return Dataset(indptr=np.arange(n + 1, dtype=np.int64) * nnz,
+                   indices=indices.astype(np.int64), values=values,
+                   y=np.where(rng.random(n) < 0.5, 1.0, -1.0), d=d,
+                   name="sparse")

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,11 @@ import pytest
 
 from vropt import bench
 from vropt.cli import main as cli_main
-from vropt.data import SyntheticSpec, generate_synthetic
+from vropt.data import SyntheticSpec, generate_synthetic, write_libsvm
 from vropt.errors import ConfigError
 from vropt.svgplot import render_line_plot
+
+from helpers import make_sparse_dataset
 
 SC_SYNTH = SyntheticSpec(n=200, d=10, spread=1.5, noise_rate=0.1, seed=42)
 
@@ -281,6 +284,40 @@ algorithm = GD
 eta_over_L = 0.5
 """)
         assert cli_main(["run", str(cfg)]) == 0
+
+    def test_metadata_records_inner_step(self, tmp_path):
+        data = tmp_path / "sparse.libsvm"
+        data.write_text(write_libsvm(make_sparse_dataset(n=80, nnz=8)))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"""
+[experiment]
+passes = 2
+seeds = 0 1
+out = {tmp_path / "out"}
+
+[dataset]
+path = {data}
+d = 1024
+
+[loss]
+kind = logistic
+lam = 0.01
+
+[optimizer.sarah]
+algorithm = SARAH
+eta_over_L = 0.5
+m = n
+
+[optimizer.svrg]
+algorithm = SVRG
+eta_over_L = 0.4
+m = n
+""")
+        assert cli_main(["run", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["inner_step"] == {
+            "sarah/seed0": "sparse", "sarah/seed1": "sparse",
+            "svrg/seed0": "dense", "svrg/seed1": "dense"}
 
     def test_subsample_study_command(self, tmp_path):
         cfg = tmp_path / "study.ini"

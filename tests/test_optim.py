@@ -493,8 +493,10 @@ class TestRunInvariants:
         g = sc200.full_gradient(res.x_out)
         assert float(g @ g) <= 1e-8
 
-    def test_changing_m_keeps_index_stream(self, sc_model):
+    @pytest.mark.parametrize("model_fixture", ["sc_model", "sparse_model"])
+    def test_changing_m_keeps_index_stream(self, model_fixture, request):
         # separate substreams: the i_t sequence must not depend on m
+        sc_model = request.getfixturevalue(model_fixture)
         a = run(sc_model, OptimizerConfig(
             "L2S", eta=0.5 / sc_model.L, m=3, T=80, seed=5,
             record_iterates=True))
