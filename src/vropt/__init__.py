@@ -17,7 +17,6 @@ from .model import (
     NonconvexLogisticModel,
     SmoothnessConstants,
     SparseRow,
-    smoothness_constants,
 )
 from .optim import (
     ALGORITHMS,
@@ -26,19 +25,10 @@ from .optim import (
     RunResult,
     c_eta,
     eta_max_nonconvex,
-    ifo_count,
     lambda_last_iterate,
     lambda_loopless_sc,
     plan_step_size,
     run,
-    run_d2s,
-    run_gd,
-    run_l2s,
-    run_l2s_sc,
-    run_sarah,
-    run_sarah_li,
-    run_sgd,
-    run_svrg,
     sigma_geometric,
     theta_strongly_convex,
 )
@@ -61,9 +51,7 @@ __all__ = [
     "SmoothnessConstants", "SparseRow", "SyntheticSpec", "VroptError",
     "build_importance_table", "c_eta", "draw_snapshot_flag",
     "draw_uniform_index", "eta_max_nonconvex", "generate_synthetic",
-    "ifo_count", "lambda_last_iterate", "lambda_loopless_sc", "parse_libsvm",
-    "plan_step_size", "run", "run_d2s", "run_gd", "run_l2s", "run_l2s_sc",
-    "run_sarah", "run_sarah_li", "run_sgd", "run_svrg", "sigma_geometric",
-    "smoothness_constants", "snapshot_event_probability", "subsample",
-    "theta_strongly_convex",
+    "lambda_last_iterate", "lambda_loopless_sc", "parse_libsvm",
+    "plan_step_size", "run", "sigma_geometric", "snapshot_event_probability",
+    "subsample", "theta_strongly_convex",
 ]

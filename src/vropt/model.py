@@ -259,8 +259,3 @@ class NonconvexLogisticModel(_MarginModel):
         den = 1.0 + x * x
         return self.alpha * (2.0 * x) / (den * den)
 
-
-# spec-level functional aliases ---------------------------------------------
-
-def smoothness_constants(model) -> SmoothnessConstants:
-    return model.smoothness_constants()

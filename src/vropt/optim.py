@@ -1,20 +1,31 @@
-"""Optimizer runs behind one contract, with exact IFO accounting.
+"""Optimizer runs from one loop, with exact IFO accounting.
 
-Algorithms
-----------
-GD        x_{t+1} = x_t - eta * grad F(x_t)
-SGD       x_{t+1} = x_t - eta_k * grad f_i(x_t), eta_k fixed per effective pass
-SVRG      anchored estimator v_t = grad f_i(x_t) - grad f_i(x~) + grad F(x~)
-SARAH     recursive estimator v_t = grad f_i(x_t) - grad f_i(x_{t-1}) + v_{t-1},
-          outer restart drawn uniformly from the inner iterates {x_0..x_m}
-SARAH-LI  SARAH with the deterministic last-iterate restart x~ = x_m
-L2S       loopless SARAH: one run of T steps, each step computes a full
-          (snapshot) gradient with probability 1/m, else the recursion;
-          output drawn uniformly from {x_1..x_T}
-L2S-SC    strongly convex variant: on a snapshot event the iterate first
-          steps back one update; runs until S snapshot events, outputs x_T
-D2S       SARAH with component draws from p_i = L_i / sum L_j and the
-          increment importance-weighted by 1/(n p_i)
+The algorithms share one loop (``run``) and differ in four parts, chosen
+from ``config.algorithm`` before the loop starts:
+
+algorithm  estimator  snapshot rule   horizon           restart / output
+GD         recursive  every step      T updates         current iterate
+SGD        plain      never           T updates         current iterate
+SVRG       anchored   every m steps   S outer loops     current iterate
+SARAH      recursive  every m steps   S outer loops     x_a, a ~ U{0..m}
+SARAH-LI   recursive  every m steps   S outer loops     x_m
+D2S        weighted   every m steps   S outer loops     x_a, a ~ U{0..m}
+L2S        recursive  Bernoulli(1/m)  T + 1 updates     x_a, a ~ U{1..T}
+L2S-SC     recursive  Bernoulli(1/m)  S snapshot draws  one step back
+
+Each pass takes a snapshot or an inner step.  A snapshot computes grad F
+at the restart point (x_0 first); the recursive estimators then step to
+x - eta grad F, the anchored one only sets its anchor.  Estimators: plain
+v = grad f_i(x); anchored v = grad f_i(x) - grad f_i(x~) + grad F(x~);
+recursive v_t = grad f_i(x_t) - grad f_i(x_{t-1}) + v_{t-1}; weighted
+divides that increment by n p_i, with i ~ p_i = L_i / sum L_j.  SGD steps
+with eta / (k + 1) in effective pass k; GD and SGD take an
+``eta_schedule``.  x_a is the a-th iterate of the outer loop (with m = 0,
+its one step) or, for L2S, of the run.  L2S-SC restarts from the iterate
+before the last update and stops one update after its S-th drawn
+snapshot.  A run also stops once ``max_ifo`` is spent (output: the current
+iterate) or a snapshot gradient has squared norm <= ``stop_grad_sq``
+(output: that snapshot's point).
 
 IFO accounting is exact: a component gradient costs 1, a snapshot costs n,
 and the initial anchor gradient costs n.  Objective evaluations are free.
@@ -25,14 +36,14 @@ m never perturbs the i_t sequence.
 
 Inner steps
 -----------
-SARAH, SARAH-LI, D2S, L2S and L2S-SC keep the recursion in an estimator
-state object (snapshot / step / materialise).  The dense state works on
-explicit iterates.  On sparse L2-regularized data (see ``inner_step``),
-the lazy state holds v = alpha u and x = y - eta B u and steps in O(nnz) of
-the sampled row.  It builds full vectors only at snapshots, trace records,
-restart points, the output and, with ``record_iterates``, every step.
-Draws, IFO counts and snapshot events are the same on both paths, and the
-iterates agree to rounding.  ``RunResult.inner_step`` records the path.
+The recursive estimators run on a dense state (explicit iterates, the
+reference arithmetic) or, on sparse L2-regularized data (see
+``inner_step``), on a lazy state that holds v = alpha u and x = y - eta B u
+and steps in O(nnz) of the sampled row.  It builds full vectors only at
+snapshots, trace records, restart points, the output and, with
+``record_iterates``, every step.  Draws, IFO counts and snapshot events
+are the same on both paths, and the iterates agree to rounding.
+``RunResult.inner_step`` records the path.
 """
 
 from __future__ import annotations
@@ -46,7 +57,6 @@ import numpy as np
 from .errors import ConfigError, DescentViolation, DivergenceError
 from .model import IfoCounter
 from .sampling import (
-    ImportanceTable,
     build_importance_table,
     draw_snapshot_flag,
     draw_uniform_index,
@@ -54,18 +64,9 @@ from .sampling import (
 )
 
 ALGORITHMS = ("GD", "SGD", "SVRG", "SARAH", "SARAH-LI", "L2S", "L2S-SC", "D2S")
-_NEEDS_T = {"GD", "SGD", "L2S"}
-_NEEDS_S = {"SVRG", "SARAH", "SARAH-LI", "L2S-SC", "D2S"}
-_OUTPUT_RULES = {
-    "GD": "last-iterate",
-    "SGD": "last-iterate",
-    "SVRG": "last-iterate",
-    "SARAH": "uniform-random-iterate",
-    "SARAH-LI": "last-iterate",
-    "L2S": "uniform-random-iterate",
-    "L2S-SC": "last-iterate",
-    "D2S": "uniform-random-iterate",
-}
+_OUTER_LOOPS = {"SVRG", "SARAH", "SARAH-LI", "D2S"}
+_OUTPUT_RULES = {a: "uniform-random-iterate" if a in ("SARAH", "L2S", "D2S")
+                 else "last-iterate" for a in ALGORITHMS}
 
 _DIVERGE_SQ = 1e24  # ||x||^2 guard, i.e. ||x|| > 1e12
 _DESCENT_RTOL = 1e-12
@@ -102,7 +103,7 @@ def validate_config(config: OptimizerConfig) -> None:
         raise ConfigError("eta must be positive and finite")
     if config.T is not None and config.S is not None:
         raise ConfigError("set exactly one of T and S")
-    if algo in _NEEDS_T:
+    if algo in ("GD", "SGD", "L2S"):
         if config.T is None:
             raise ConfigError(f"{algo} requires T")
         if config.T < 0 or (algo == "L2S" and config.T < 1):
@@ -123,6 +124,10 @@ def validate_config(config: OptimizerConfig) -> None:
         raise ConfigError(f"{algo} uses output rule {_OUTPUT_RULES[algo]!r}")
     if config.max_ifo is not None and config.max_ifo < 0:
         raise ConfigError("max_ifo must be >= 0")
+    if config.eta_schedule is not None and algo not in ("GD", "SGD"):
+        raise ConfigError(f"{algo} takes no eta_schedule (GD and SGD do)")
+    if not config.step_back and algo != "L2S-SC":
+        raise ConfigError(f"step_back=False applies to L2S-SC, not {algo}")
 
 
 @dataclass
@@ -161,18 +166,12 @@ class RunResult:
         return int(self.snapshot_iters.size)
 
 
-def ifo_count(result: RunResult) -> int:
-    """Total incremental-first-order-oracle calls of a completed run."""
-    return result.total_ifo
-
-
 class _Run:
-    """Shared run state: counter, streams, trace recorder, guards."""
+    """Per-run bookkeeping: counter, streams, trace recorder, guards."""
 
-    def __init__(self, model, config):
-        validate_config(config)
-        self.model = model
-        self.config = config
+    def __init__(self, model, config, descent_cap):
+        self.model, self.config = model, config
+        self.descent_cap = descent_cap  # None: no first-update descent check
         self.counter = IfoCounter()
         self.streams = split_run_streams(config.seed)
         if config.x0 is None:
@@ -182,28 +181,22 @@ class _Run:
             if self.x0.shape != (model.d,):
                 raise ConfigError("x0 has wrong dimension")
         cadence = config.record_every_pass
-        if cadence is not None:
-            step = int(round(cadence * model.n))
-            if step < 1:
-                raise ConfigError("record cadence below one IFO call")
-            self._rec_step = step
-        else:
-            self._rec_step = None
-        self._next_thresh = 0
-        self._rows = []
-        self.snapshot_iters = []
-        self.snapshot_grads = []
-        self.snapshot_points = []
-        self.restart_points = []
+        self._rec_step = (None if cadence is None
+                          else int(round(cadence * model.n)))
+        if self._rec_step is not None and self._rec_step < 1:
+            raise ConfigError("record cadence below one IFO call")
+        self._next_thresh = self._last_t = 0
+        self._rows, self.snapshot_iters, self.restart_points = [], [], []
+        self.snapshot_grads, self.snapshot_points = [], []
         self.iterates = [] if config.record_iterates else None
         self.indices = [] if config.record_iterates else None
-        self.stopped = False
-        self.hit_target = False
-        self._last_t = 0
+        self.stopped = self.hit_target = False
         self.f0 = model.objective(self.x0)
         self.f1 = math.nan
+        if self.iterates is not None:
+            self.iterates.append(self.x0.copy())
+        self.record(self.x0)
 
-    # -- recording --------------------------------------------------------
     def record(self, x):
         if self._rec_step is None:
             return
@@ -212,10 +205,8 @@ class _Run:
             f = self.model.objective(x)
             if not math.isfinite(f) or abs(f) > 1e12:
                 raise DivergenceError("objective exploded", self._last_t)
-            self._rows.append(
-                (self.counter.count / self.model.n, self.counter.count,
-                 f, float(g @ g))
-            )
+            self._rows.append((self.counter.count / self.model.n,
+                               self.counter.count, f, float(g @ g)))
             self._next_thresh += self._rec_step
 
     def note_snapshot(self, t, v, x):
@@ -228,69 +219,46 @@ class _Run:
             self.hit_target = True
             self.stopped = True
 
-    def note_iterate(self, x):
-        if self.iterates is not None:
-            self.iterates.append(x.copy())
-
-    def guard(self, x, t):
-        self.guard_sq(float(x @ x), t)
-
-    def guard_sq(self, nx, t):
+    def advance(self, est, t) -> bool:
+        """Bookkeeping of update t, in order: divergence guard, iterate log,
+        first-update check, trace record and the IFO budget.  True once the
+        budget is spent.  The iterate is materialised only for what reads
+        it."""
+        nx = est.sq_norm()
         self._last_t = t
         if not math.isfinite(nx) or nx > _DIVERGE_SQ:
             raise DivergenceError("iterate norm exploded", t)
-
-    def recursion(self):
-        """The recursive estimator's state for this run's model."""
-        sparse = inner_step(self.model, self.config.algorithm) == "sparse"
-        cls = _LazyRecursion if sparse else _DenseRecursion
-        return cls(self.model, self.config.eta, self.counter)
-
-    def advance(self, est, t, first_step_cap=None):
-        """Per-step bookkeeping of the recursive loops: guard, iterate log,
-        first-step descent check and trace record, in that order.  The
-        iterate is materialised only for what reads it."""
-        self.guard_sq(est.sq_norm(), t)
         if self.iterates is not None:
             self.iterates.append(est.materialise().copy())
-        if first_step_cap is not None:
-            self.check_first_step(est.materialise(), self.config.eta,
-                                  first_step_cap)
+        if t == 1:
+            self.check_first_step(est.materialise(), est.eta)
         rec = self._rec_step is not None
         if rec and self.counter.count >= self._next_thresh:
             self.record(est.materialise())
-
-    def over_budget(self) -> bool:
         cap = self.config.max_ifo
         if cap is not None and self.counter.count >= cap:
             self.stopped = True
         return self.stopped
 
-    def check_first_step(self, x1, eta0, smoothness_cap):
+    def check_first_step(self, x1, eta0):
         """F(x_1) <= F(x_0) must hold whenever the first update used the full
-        gradient and eta < 1/L (1/L_bar for D2S)."""
+        gradient and eta < 1/L (1/L_bar for D2S).  SGD only records F(x_1)."""
         self.f1 = self.model.objective(x1)
-        if eta0 < 1.0 / smoothness_cap:
+        cap = self.descent_cap
+        if cap is not None and eta0 < 1.0 / cap:
             tol = _DESCENT_RTOL * max(1.0, abs(self.f0))
             if self.f1 > self.f0 + tol:
                 raise DescentViolation(
-                    f"F(x1)={self.f1!r} > F(x0)={self.f0!r} at eta={eta0!r}"
-                )
+                    f"F(x1)={self.f1!r} > F(x0)={self.f0!r} at eta={eta0!r}")
 
-    def finish(self, x_out, total_iterations, bernoulli=None,
-               inner_step="dense") -> RunResult:
-        rows = self._rows
-        trace = Trace(
-            passes=np.array([r[0] for r in rows]),
-            ifo=np.array([r[1] for r in rows], dtype=np.int64),
-            objective=np.array([r[2] for r in rows]),
-            grad_sq=np.array([r[3] for r in rows]),
-        )
+    def finish(self, x_out, total_iterations, bernoulli,
+               inner_step) -> RunResult:
+        cols = [[row[k] for row in self._rows] for k in range(4)]
+        trace = Trace(np.array(cols[0]), np.array(cols[1], dtype=np.int64),
+                      np.array(cols[2]), np.array(cols[3]))
         return RunResult(
             config=self.config,
-            x_out=x_out,
-            f0=self.f0,
-            f1=self.f1,
+            x_out=x_out, f0=self.f0, f1=self.f1,
             total_ifo=self.counter.count,
             total_iterations=total_iterations,
             snapshot_iters=np.array(self.snapshot_iters, dtype=np.int64),
@@ -310,8 +278,9 @@ class _Run:
 
 
 # --------------------------------------------------------------------------
-# Recursive estimator state: v_t = grad f_i(x_t) - grad f_i(x_{t-1}) + v_{t-1}
-# (increment divided by w_i = n p_i for D2S), x_{t+1} = x_t - eta v_t.
+# Estimator states.  Each has snapshot(x, v) (restart at x with v = grad F(x);
+# all but the anchored state then take the step x - eta v), step(i),
+# materialise(prev=False) (x_t, or x_{t-1}), sq_norm() (||x_t||^2) and kind.
 # --------------------------------------------------------------------------
 
 _LAZY_ALGORITHMS = ("SARAH", "SARAH-LI", "D2S", "L2S", "L2S-SC")
@@ -341,30 +310,67 @@ def inner_step(model, algorithm: str) -> str:
     return "sparse" if sparse else "dense"
 
 
-class _DenseRecursion:
-    """The recursion on explicit iterates (the reference arithmetic)."""
+class _Plain:
+    """SGD's estimator v = grad f_i(x_t), on explicit iterates from x0."""
 
     kind = "dense"
+    steps_at_snapshot = True   # a snapshot ends in x - eta grad F(x)
 
-    def __init__(self, model, eta, counter):
-        self.model, self.eta, self.counter = model, eta, counter
+    def __init__(self, model, eta, counter, x0=None):
+        self.model, self.eta, self.counter, self.cur = model, eta, counter, x0
 
     def snapshot(self, x, v):
-        """Restart at x with v = grad F(x), then take the step x - eta v."""
+        self.cur = x - self.eta * v
+
+    def step(self, i):
+        g = self.model.component_gradient(i, self.cur, self.counter)
+        self.cur = self.cur - self.eta * g
+
+    def materialise(self, prev=False):
+        return self.cur
+
+    def sq_norm(self):
+        return float(self.cur @ self.cur)
+
+
+class _Anchored(_Plain):
+    """SVRG's estimator v = grad f_i(x_t) - grad f_i(x~) + grad F(x~); a
+    snapshot only sets the anchor x~."""
+
+    steps_at_snapshot = False
+
+    def snapshot(self, x, v):
+        self.anchor, self.mu, self.cur = x, v, x
+
+    def step(self, i):
+        cg = self.model.component_gradient
+        v = (cg(i, self.cur, self.counter)
+             - cg(i, self.anchor, self.counter)) + self.mu
+        self.cur = self.cur - self.eta * v
+
+
+class _DenseRecursion(_Plain):
+    """The recursion v_t = grad f_i(x_t) - grad f_i(x_{t-1}) + v_{t-1} on
+    explicit iterates (the reference arithmetic).  With ``weights`` (D2S),
+    the increment is divided by w_i = n p_i."""
+
+    def __init__(self, model, eta, counter, weights=None):
+        super().__init__(model, eta, counter)
+        self.weights = weights
+
+    def snapshot(self, x, v):
         self.v, self.prev = v, x
         self.cur = x - self.eta * v
 
-    def step(self, i, weight=None):
+    def step(self, i):
         cg = self.model.component_gradient
         diff = cg(i, self.cur, self.counter) - cg(i, self.prev, self.counter)
-        self.v = diff + self.v if weight is None else diff / weight + self.v
+        w = self.weights
+        self.v = diff + self.v if w is None else diff / w[i] + self.v
         self.prev, self.cur = self.cur, self.cur - self.eta * self.v
 
     def materialise(self, prev=False):
         return self.prev if prev else self.cur
-
-    def sq_norm(self):
-        return float(self.cur @ self.cur)
 
 
 class _LazyPoint:
@@ -396,14 +402,15 @@ class _LazyRecursion:
     """
 
     kind = "sparse"
+    steps_at_snapshot = True
 
-    def __init__(self, model, eta, counter):
+    def __init__(self, model, eta, counter, weights=None):
         self.model, self.eta, self.counter = model, eta, counter
+        self.weights = weights
         self.lam_eta = model.ridge * eta
         self.cur, self.prev = _LazyPoint(self, False), _LazyPoint(self, True)
 
     def snapshot(self, x, v):
-        """Restart at x with v = grad F(x), then take the step x - eta v."""
         self.y = np.array(x, dtype=np.float64)
         self.u = np.array(v, dtype=np.float64)
         self.alpha = self.B = 1.0
@@ -416,14 +423,15 @@ class _LazyRecursion:
         self.yy, self.yu, self.uu = (float(np.einsum("i,i->", a, b))
                                      for a, b in ((y, y), (y, u), (u, u)))
 
-    def step(self, i, weight=None):
+    def step(self, i):
         cg = self.model.component_gradient
         c1, idx, val = cg(i, self.cur, self.counter)
         c0 = cg(i, self.prev, self.counter)[0]
-        if weight is None:
+        if self.weights is None:
             rho, s = 1.0 - self.lam_eta, c1 - c0
         else:
-            rho, s = 1.0 - self.lam_eta / weight, (c1 - c0) / weight
+            w = self.weights[i]
+            rho, s = 1.0 - self.lam_eta / w, (c1 - c0) / w
         alpha = self.alpha * rho
         if abs(self.B) > _REBASE_RATIO * abs(alpha):
             # fold alpha into u and eta B u into y, so that v = u and x_t = y
@@ -452,284 +460,115 @@ class _LazyRecursion:
         return self.yy - eB * (2.0 * self.yu - eB * self.uu)
 
 
-def run_gd(model, config: OptimizerConfig) -> RunResult:
-    """Full-gradient descent; IFO = n * (number of steps taken)."""
-    st = _Run(model, config)
-    eta, sched = config.eta, config.eta_schedule
-    x = st.x0
-    st.note_iterate(x)
-    st.record(x)
-    t = 0
-    for t in range(config.T):
-        eta_t = sched(t) if sched is not None else eta
-        g = model.full_gradient(x, st.counter)
-        st.note_snapshot(t, g, x)
-        x = x - eta_t * g
-        st.guard(x, t)
-        st.note_iterate(x)
-        if t == 0:
-            st.check_first_step(x, eta_t, model.L)
-        st.record(x)
-        if st.over_budget():
-            break
-    return st.finish(x, t + 1 if config.T else 0)
-
-
-def run_sgd(model, config: OptimizerConfig) -> RunResult:
-    """Uniform single-component steps with the per-pass schedule
-    eta_k = eta / (k + 1) (set eta = 1/L for the classical baseline);
-    an explicit eta_schedule overrides it.  IFO = T."""
-    st = _Run(model, config)
-    sched = config.eta_schedule or (lambda k: config.eta / (k + 1))
-    rng = st.streams["index"]
-    n = model.n
-    x = st.x0
-    st.note_iterate(x)
-    st.record(x)
-    t = 0
-    for t in range(config.T):
-        eta_t = sched(st.counter.count // n)
-        i = draw_uniform_index(rng, n)
-        if st.indices is not None:
-            st.indices.append(i)
-        g = model.component_gradient(i, x, st.counter)
-        x = x - eta_t * g
-        st.guard(x, t)
-        st.note_iterate(x)
-        if t == 0:
-            st.f1 = model.objective(x)  # informational; no descent guarantee
-        st.record(x)
-        if st.over_budget():
-            break
-    return st.finish(x, t + 1 if config.T else 0)
-
-
-def run_svrg(model, config: OptimizerConfig) -> RunResult:
-    """SVRG with inner length m and last-inner-iterate restart.
-    IFO = S * (n + 2m)."""
-    st = _Run(model, config)
-    eta, m, n = config.eta, config.m, model.n
-    rng = st.streams["index"]
-    x_tilde = st.x0
-    st.note_iterate(x_tilde)
-    st.record(x_tilde)
-    x = x_tilde
-    t_global = 0
-    for s in range(config.S):
-        mu_tilde = model.full_gradient(x_tilde, st.counter)
-        st.note_snapshot(t_global, mu_tilde, x_tilde)
-        st.restart_points.append(x_tilde)
-        if st.stopped:
-            break
-        x = x_tilde
-        for _ in range(m):
-            i = draw_uniform_index(rng, n)
-            if st.indices is not None:
-                st.indices.append(i)
-            v = (model.component_gradient(i, x, st.counter)
-                 - model.component_gradient(i, x_tilde, st.counter)) + mu_tilde
-            x = x - eta * v
-            t_global += 1
-            st.guard(x, t_global)
-            st.note_iterate(x)
-            if s == 0 and t_global == 1:
-                st.check_first_step(x, eta, model.L)
-            st.record(x)
-            if st.over_budget():
-                break
-        x_tilde = x
-        if st.stopped:
-            break
-    return st.finish(x_tilde, t_global)
-
-
-def _run_sarah_family(model, config, *, last_iterate: bool,
-                      table: ImportanceTable | None) -> RunResult:
-    """SARAH / SARAH-LI / D2S share one loop; they differ only in the restart
-    rule and in how i_t is drawn and the increment weighted."""
-    st = _Run(model, config)
-    m, n = config.m, model.n
-    idx_rng = st.streams["index"]
-    out_rng = st.streams["output"]
-    weights = table.weights if table is not None else None
-    first_cap = model.L_bar if table is not None else model.L
-    est = st.recursion()
-    x_tilde = st.x0
-    st.note_iterate(x_tilde)
-    st.record(x_tilde)
-    t_global = 0
-    for s in range(config.S):
-        v = model.full_gradient(x_tilde, st.counter)
-        st.note_snapshot(t_global, v, x_tilde)
-        st.restart_points.append(x_tilde)
-        if st.stopped:
-            break
-        if last_iterate:
-            a = m  # deterministic restart index
-        else:
-            a = draw_uniform_index(out_rng, m + 1)
-        keep = x_tilde if a == 0 else None
-        est.snapshot(x_tilde, v)
-        t_global += 1
-        st.advance(est, t_global, first_step_cap=None if s else first_cap)
-        if a == 1:
-            keep = est.materialise()
-        aborted = st.over_budget()
-        if not aborted:
-            for t in range(1, m + 1):
-                i = (table.draw(idx_rng) if table is not None
-                     else draw_uniform_index(idx_rng, n))
-                if st.indices is not None:
-                    st.indices.append(i)
-                est.step(i, weights[i] if weights is not None else None)
-                t_global += 1
-                st.advance(est, t_global)
-                if t + 1 == a:
-                    keep = est.materialise()
-                if st.over_budget():
-                    aborted = True
-                    break
-        if m == 0 or aborted:
-            # m == 0: the only progress is the anchored step, restart from
-            # it (a pure full-gradient outer loop)
-            x_tilde = est.materialise()
-        else:
-            x_tilde = keep if keep is not None else est.materialise(prev=True)
-        if st.stopped:
-            break
-    return st.finish(x_tilde, t_global, inner_step=est.kind)
-
-
-def run_sarah(model, config: OptimizerConfig) -> RunResult:
-    """SARAH with uniform-random-iterate restart over {x_0 .. x_m}.
-    IFO = S * (n + 2m)."""
-    return _run_sarah_family(model, config, last_iterate=False, table=None)
-
-
-def run_sarah_li(model, config: OptimizerConfig) -> RunResult:
-    """SARAH restarting deterministically from the m-th inner iterate."""
-    return _run_sarah_family(model, config, last_iterate=True, table=None)
-
-
-def run_d2s(model, config: OptimizerConfig) -> RunResult:
-    """SARAH with static importance sampling p_i = L_i / sum L_j and the
-    increment scaled by 1/(n p_i).  IFO = S * (n + 2m)."""
-    table = build_importance_table(model.lipschitz)
-    return _run_sarah_family(model, config, last_iterate=False, table=table)
-
-
-def run_l2s(model, config: OptimizerConfig) -> RunResult:
-    """Loopless SARAH: per-iteration Bernoulli(1/m) snapshot decision.
-    IFO = n + sum_t (n if B_t else 2)."""
-    st = _Run(model, config)
-    m, n, T = config.m, model.n, config.T
-    idx_rng = st.streams["index"]
-    snap_rng = st.streams["snapshot"]
-    out_rng = st.streams["output"]
-    bern = np.zeros(T, dtype=np.uint8)
-    est = st.recursion()
-
-    x = st.x0
-    st.note_iterate(x)
-    st.record(x)
-    v = model.full_gradient(x, st.counter)
-    st.note_snapshot(0, v, x)
-    a = 1 + draw_uniform_index(out_rng, T)  # output index in {1..T}
-    est.snapshot(x, v)
-    st.advance(est, 1, first_step_cap=model.L)
-    keep = est.materialise() if a == 1 else None
-    t = 0
-    updates = 1  # the anchored step above
-    if not st.over_budget():
-        for t in range(1, T + 1):
-            if draw_snapshot_flag(snap_rng, m):
-                bern[t - 1] = 1
-                x = est.materialise()
-                v = model.full_gradient(x, st.counter)
-                st.note_snapshot(t, v, x)
-                if st.hit_target:
-                    break  # x is the certified point
-                est.snapshot(x, v)
-            else:
-                i = draw_uniform_index(idx_rng, n)
-                if st.indices is not None:
-                    st.indices.append(i)
-                est.step(i)
-            updates += 1
-            st.advance(est, t + 1)
-            if t + 1 == a:
-                keep = est.materialise()
-            if st.over_budget():
-                break
-    x_out = est.materialise() if keep is None or st.stopped else keep
-    return st.finish(x_out, updates, bernoulli=bern[:t], inner_step=est.kind)
-
-
-def run_l2s_sc(model, config: OptimizerConfig) -> RunResult:
-    """L2S for strongly convex problems: steps back one update whenever a
-    snapshot gradient is drawn, runs until S snapshot events, outputs the
-    final iterate.  The total iteration count is random and is recorded."""
-    st = _Run(model, config)
-    m, n, S = config.m, model.n, config.S
-    idx_rng = st.streams["index"]
-    snap_rng = st.streams["snapshot"]
-    bern = []
-    est = st.recursion()
-
-    x = st.x0
-    st.note_iterate(x)
-    st.record(x)
-    v = model.full_gradient(x, st.counter)
-    st.note_snapshot(0, v, x)
-    est.snapshot(x, v)
-    st.advance(est, 1, first_step_cap=model.L)
-    x_out = None  # set when a snapshot certifies its point
-    t = 1
-    s = 0
-    while s != S and not st.over_budget():
-        if draw_snapshot_flag(snap_rng, m):
-            bern.append(1)
-            # Line "x_t = x_{t-1}": the iterate is reassigned, so the
-            # recorded sequence reflects the stepped-back value
-            x = est.materialise(prev=config.step_back)
-            if config.step_back and st.iterates is not None:
-                st.iterates[-1] = x.copy()
-            v = model.full_gradient(x, st.counter)
-            st.note_snapshot(t, v, x)
-            s += 1
-            if st.hit_target:
-                x_out = x
-                break  # x is the certified point
-            est.snapshot(x, v)
-        else:
-            bern.append(0)
-            i = draw_uniform_index(idx_rng, n)
-            if st.indices is not None:
-                st.indices.append(i)
-            est.step(i)
-        t += 1
-        st.advance(est, t)
-    if x_out is None:
-        x_out = est.materialise()
-    return st.finish(x_out, t, bernoulli=np.array(bern, dtype=np.uint8),
-                     inner_step=est.kind)
-
-
-_RUNNERS = {
-    "GD": run_gd,
-    "SGD": run_sgd,
-    "SVRG": run_svrg,
-    "SARAH": run_sarah,
-    "SARAH-LI": run_sarah_li,
-    "L2S": run_l2s,
-    "L2S-SC": run_l2s_sc,
-    "D2S": run_d2s,
-}
-
-
 def run(model, config: OptimizerConfig) -> RunResult:
+    """Run ``config.algorithm`` on ``model``: the one optimizer loop (see
+    the module docstring for the parts that set the algorithms apart)."""
     validate_config(config)
-    return _RUNNERS[config.algorithm](model, config)
+    algo, n, m, T, S = config.algorithm, model.n, config.m, config.T, config.S
+    outer = algo in _OUTER_LOOPS
+    st = _Run(model, config, None if algo == "SGD"
+              else model.L_bar if algo == "D2S" else model.L)
+    idx_rng, snap_rng, out_rng = (st.streams[k]
+                                  for k in ("index", "snapshot", "output"))
+    indices = st.indices
+
+    # estimator
+    table = build_importance_table(model.lipschitz) if algo == "D2S" else None
+    if algo == "SGD":
+        est = _Plain(model, config.eta, st.counter, st.x0)
+    elif algo == "SVRG":
+        est = _Anchored(model, config.eta, st.counter)
+    else:
+        lazy = inner_step(model, algo) == "sparse"
+        est = (_LazyRecursion if lazy else _DenseRecursion)(
+            model, config.eta, st.counter,
+            None if table is None else table.weights)
+    sched = config.eta_schedule or (
+        (lambda k: config.eta / (k + 1)) if algo == "SGD" else None)
+
+    # snapshot rule: the first pass is a snapshot (not for SGD); later ones
+    # fall due every `period` inner steps or by a Bernoulli(1/m) coin
+    first = algo != "SGD"
+    coin = algo in ("L2S", "L2S-SC")
+    period = 0 if algo == "GD" else m
+    bern = [] if coin else None
+
+    # horizon: the loop ends once `updates` reaches u_cap or `snaps` s_cap
+    if algo == "L2S-SC":
+        u_cap, s_cap = -1, S + 1
+    elif outer:
+        u_cap, s_cap = S * (m + 1 if est.steps_at_snapshot else m), -1
+    else:
+        u_cap, s_cap = (T + 1 if algo == "L2S" else T), -1
+
+    # restart/output rule: x_a with a drawn per outer loop or once (L2S);
+    # one step back (L2S-SC); else the current iterate
+    if algo in ("SARAH", "D2S"):
+        def draw_a(): return draw_uniform_index(out_rng, m + 1)
+    elif algo == "SARAH-LI":
+        def draw_a(): return m
+    elif algo == "L2S":
+        def draw_a(): return 1 + draw_uniform_index(out_rng, T)
+    else:
+        draw_a = None
+    keep_out = draw_a is not None and m > 0
+    keep_restart = keep_out and outer
+    back = algo == "L2S-SC" and config.step_back
+
+    keep = x_out = None
+    a_at = -1                       # the update whose iterate is x_a
+    updates = snaps = inner = 0
+    while updates != u_cap and snaps != s_cap:
+        if sched is not None:
+            est.eta = sched(st.counter.count // n)
+        if not snaps:
+            due = first
+        elif coin:
+            due = draw_snapshot_flag(snap_rng, m)
+            bern.append(due)
+        else:
+            due = inner == period
+        if due:
+            if not snaps:
+                x = st.x0
+            elif keep_restart:
+                x = keep
+            else:
+                x = est.materialise(prev=back)
+                if back and st.iterates is not None:
+                    st.iterates[-1] = x.copy()  # the step back rewrites x_t
+            v = model.full_gradient(x, st.counter)
+            st.note_snapshot(updates, v, x)
+            snaps += 1
+            if outer:
+                st.restart_points.append(x)
+            if st.hit_target:
+                x_out = x  # the certified point
+                break
+            if draw_a is not None and (outer or snaps == 1):
+                a_at, keep = updates + draw_a(), x  # a = 0: keep x itself
+            est.snapshot(x, v)
+            inner = 0
+            if not est.steps_at_snapshot:
+                continue
+        else:
+            i = (draw_uniform_index(idx_rng, n) if table is None
+                 else table.draw(idx_rng))
+            if indices is not None:
+                indices.append(i)
+            est.step(i)
+            inner += 1
+        updates += 1
+        if st.advance(est, updates):
+            break
+        if updates == a_at:
+            keep = est.materialise()
+    if x_out is None:
+        x_out = (keep if keep_out and not st.stopped
+                 else est.materialise() if updates else st.x0)
+    return st.finish(x_out, updates,
+                     None if bern is None else np.array(bern, dtype=np.uint8),
+                     est.kind)
 
 
 # --------------------------------------------------------------------------

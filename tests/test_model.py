@@ -10,7 +10,6 @@ from vropt.model import (
     LogisticModel,
     NonconvexLogisticModel,
     SparseRow,
-    smoothness_constants,
 )
 from vropt.sampling import Rng
 
@@ -148,7 +147,7 @@ class TestObjective:
 class TestSmoothness:
     def test_single_row(self):
         model = LogisticModel(single_row_dataset([2.0, 0.0]), lam=0.0)
-        sc = smoothness_constants(model)
+        sc = model.smoothness_constants()
         assert sc.L == pytest.approx(1.0, abs=0)  # ||a||^2/4 = 4/4
 
     def test_logistic_constants(self, tiny_dataset):

@@ -10,7 +10,6 @@ from vropt.optim import (
     OptimizerConfig,
     c_eta,
     eta_max_nonconvex,
-    ifo_count,
     lambda_last_iterate,
     lambda_loopless_sc,
     plan_step_size,
@@ -77,6 +76,30 @@ class TestConfigValidation:
             output_rule="uniform-random-iterate"))
 
 
+    @pytest.mark.parametrize("algo,extra", [
+        ("SVRG", dict(m=2, S=1)), ("SARAH", dict(m=2, S=1)),
+        ("SARAH-LI", dict(m=2, S=1)), ("D2S", dict(m=2, S=1)),
+        ("L2S", dict(m=2, T=5)), ("L2S-SC", dict(m=2, S=1))])
+    def test_eta_schedule_only_for_gd_and_sgd(self, algo, extra):
+        with pytest.raises(ConfigError):
+            validate_config(OptimizerConfig(
+                algo, eta=0.1, eta_schedule=lambda k: 0.1, **extra))
+        for plain in ("GD", "SGD"):
+            validate_config(OptimizerConfig(
+                plain, eta=0.1, T=5, eta_schedule=lambda k: 0.1))
+
+    @pytest.mark.parametrize("algo,extra", [
+        ("GD", dict(T=5)), ("SGD", dict(T=5)), ("SVRG", dict(m=2, S=1)),
+        ("SARAH", dict(m=2, S=1)), ("SARAH-LI", dict(m=2, S=1)),
+        ("D2S", dict(m=2, S=1)), ("L2S", dict(m=2, T=5))])
+    def test_step_back_only_for_l2s_sc(self, algo, extra):
+        with pytest.raises(ConfigError):
+            validate_config(OptimizerConfig(
+                algo, eta=0.1, step_back=False, **extra))
+        validate_config(OptimizerConfig(
+            "L2S-SC", eta=0.1, m=2, S=1, step_back=False))
+
+
 class TestGD:
     def test_zero_steps(self, sc_model):
         res = run(sc_model, OptimizerConfig("GD", eta=0.1, T=0))
@@ -91,7 +114,7 @@ class TestGD:
 
     def test_ifo_is_nT(self, sc_model):
         res = run(sc_model, OptimizerConfig("GD", eta=0.5 / sc_model.L, T=7))
-        assert ifo_count(res) == sc_model.n * 7
+        assert res.total_ifo == sc_model.n * 7
 
     def test_linear_convergence_measured(self, sc_model):
         # ||x_T - x*||^2 <= c^T ||x_0 - x*||^2 with measured c < 1
@@ -492,6 +515,64 @@ class TestRunInvariants:
         assert res.reached_grad_target
         g = sc200.full_gradient(res.x_out)
         assert float(g @ g) <= 1e-8
+
+    @pytest.mark.parametrize("algo", [a for a, _ in ALGOS])
+    @pytest.mark.parametrize("model_fixture,target",
+                             [("sc200", 1e-8), ("sparse_model", 1e-3)])
+    def test_grad_target_returns_certified_point(self, algo, model_fixture,
+                                                 target, request):
+        # the run stops at the snapshot that met the target, not one
+        # update later, and returns that snapshot's point
+        model = request.getfixturevalue(model_fixture)
+        eta = (0.5 / model.L_bar) if algo == "D2S" else (0.5 / model.L)
+        horizon = {"GD": dict(T=400), "L2S": dict(T=60 * model.n)}.get(
+            algo, dict(S=60))
+        res = run(model, OptimizerConfig(
+            algo, eta=eta, m=model.n, seed=1, record_every_pass=None,
+            record_iterates=True, stop_grad_sq=target, **horizon))
+        assert res.reached_grad_target
+        assert res.x_out.tobytes() == res.snapshot_points[-1].tobytes()
+        g = model.full_gradient(res.x_out)
+        assert float(g @ g) <= target
+
+    def test_divergence_iteration_agrees_across_reductions(self, sc200):
+        # GD, L2S(m=1) and SARAH(m=0) take the same iterates, so they name
+        # the same exploded iterate
+        named = set()
+        for algo, extra in [("GD", dict(T=500)), ("L2S", dict(m=1, T=500)),
+                            ("SARAH", dict(m=0, S=500))]:
+            with pytest.raises(DivergenceError) as err:
+                run(sc200, OptimizerConfig(algo, eta=40.0 / sc200.mu,
+                                           record_every_pass=None, **extra))
+            named.add(err.value.iteration)
+        assert len(named) == 1
+
+    def test_sgd_divergence_iteration_matches_gd(self):
+        # one component: SGD at a constant step takes GD's iterates
+        model = single_row_model([1.5, -0.5], lam=0.2)
+        eta = 40.0 / model.mu
+        named = set()
+        for algo, extra in [("SGD", dict(T=500, eta_schedule=lambda k: eta)),
+                            ("GD", dict(T=500)), ("L2S", dict(m=1, T=500))]:
+            with pytest.raises(DivergenceError) as err:
+                run(model, OptimizerConfig(algo, eta=eta,
+                                           record_every_pass=None, **extra))
+            named.add(err.value.iteration)
+        assert len(named) == 1
+
+    @pytest.mark.parametrize("algo",
+                             ["SVRG", "SARAH", "SARAH-LI", "D2S", "L2S-SC"])
+    @pytest.mark.parametrize("model_fixture", ["sc_model", "sparse_model"])
+    def test_changing_m_keeps_index_stream_every_algorithm(
+            self, algo, model_fixture, request):
+        model = request.getfixturevalue(model_fixture)
+        eta = (0.5 / model.L_bar) if algo == "D2S" else (0.5 / model.L)
+        a, b = (run(model, OptimizerConfig(algo, eta=eta, m=m, S=12, seed=5,
+                                           record_iterates=True))
+                for m in (3, 30))
+        shared = min(len(a.indices), len(b.indices))
+        assert shared > 10
+        assert np.array_equal(a.indices[:shared], b.indices[:shared])
 
     @pytest.mark.parametrize("model_fixture", ["sc_model", "sparse_model"])
     def test_changing_m_keeps_index_stream(self, model_fixture, request):
