@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigError, DivergenceError
 from .model import LogisticModel, NonconvexLogisticModel
-from .optim import (OptimizerConfig, eta_max_nonconvex, inner_step,
+from .optim import (OptimizerConfig, engine, eta_max_nonconvex, inner_step,
                     plan_step_size, run)
 
 CSV_SCHEMA = "trace-v1"
@@ -169,6 +169,7 @@ class CellResult:
     wall_time: float
     csv_path: str
     inner_step: str             # "dense" or "sparse" (vropt.optim.inner_step)
+    engine: str                 # "compiled" or "python" (vropt.optim.engine)
 
 
 def _format_row(values) -> str:
@@ -210,17 +211,18 @@ def read_trace_csv(path):
 
 def _cell(model, spec: ExperimentSpec, idx: int, seed: int):
     """One grid cell: (idx, seed, wall seconds, trace or None if the run
-    diverged, IFO total, inner step kind)."""
+    diverged, IFO total, inner step kind, engine)."""
     config = spec.optimizers[idx].build_config(model, spec.passes, seed,
                                                spec.record_every_pass)
-    kind = inner_step(model, config.algorithm)
+    paths = (inner_step(model, config.algorithm),
+             engine(model, config.algorithm))
     t0 = time.perf_counter()
     try:
         result = run(model, config)
     except DivergenceError:
-        return idx, seed, time.perf_counter() - t0, None, 0, kind
+        return idx, seed, time.perf_counter() - t0, None, 0, *paths
     return (idx, seed, time.perf_counter() - t0, result.trace,
-            result.total_ifo, result.inner_step)
+            result.total_ifo, result.inner_step, result.engine)
 
 
 _worker = None  # (spec, model) of this pool worker, set by _load_worker
@@ -258,14 +260,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
 
     # global best objective value anchors the suboptimality column
     f_best = math.inf
-    for *_, trace, _, _ in raw:
+    for _, _, _, trace, *_ in raw:
         if trace is not None and len(trace):
             f_best = min(f_best, float(trace.objective.min()))
     if not math.isfinite(f_best):
         f_best = 0.0
 
     cells = []
-    for idx, seed, wall, trace, total_ifo, kind in raw:
+    for idx, seed, wall, trace, total_ifo, kind, path in raw:
         setup = spec.optimizers[idx]
         csv_path = out / f"{setup.label}_seed{seed}.csv"
         diverged = trace is None
@@ -279,7 +281,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
             diverged=diverged,
             final_grad_sq=fin_g,
             final_subopt=(fin_f - f_best) if math.isfinite(fin_f) else math.inf,
-            total_ifo=total_ifo, wall_time=wall, inner_step=kind,
+            total_ifo=total_ifo, wall_time=wall, inner_step=kind, engine=path,
             csv_path=str(csv_path) if not diverged else "",
         ))
 
@@ -290,6 +292,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
         "generated_unix_time": time.time(),
         "wall_times": {f"{c.label}/seed{c.seed}": c.wall_time for c in cells},
         "inner_step": {f"{c.label}/seed{c.seed}": c.inner_step for c in cells},
+        "engine": {f"{c.label}/seed{c.seed}": c.engine for c in cells},
     }
     (out / "metadata.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -44,6 +44,19 @@ snapshots, trace records, restart points, the output and, with
 ``record_iterates``, every step.  Draws, IFO counts and snapshot events
 are the same on both paths, and the iterates agree to rounding.
 ``RunResult.inner_step`` records the path.
+
+Engine
+------
+The loop advances by segments: the inner-step passes up to the next event
+(a snapshot, a trace threshold, ``max_ifo``, the restart point x_a, the
+horizon, the first update, an SGD pass boundary, a lazy fold or
+divergence).  When ``engine`` selects it, a compiled kernel (``_segment.c``,
+built at import by ``_kernel``) takes each segment, draws included, and
+stops before the event's pass, which this loop then takes.  The kernel
+repeats the Python estimators' arithmetic operation for operation, with
+numpy's own ddot for every dot product, so both engines give bit-identical
+results; ``RunResult.engine`` records which ran.  Proxy models, rebound
+draw functions and a missing kernel take the Python loop.
 """
 
 from __future__ import annotations
@@ -54,8 +67,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _kernel, sampling
 from .errors import ConfigError, DescentViolation, DivergenceError
-from .model import IfoCounter
+from .model import IfoCounter, LogisticModel, NonconvexLogisticModel
 from .sampling import (
     build_importance_table,
     draw_snapshot_flag,
@@ -70,6 +84,8 @@ _OUTPUT_RULES = {a: "uniform-random-iterate" if a in ("SARAH", "L2S", "D2S")
 
 _DIVERGE_SQ = 1e24  # ||x||^2 guard, i.e. ||x|| > 1e12
 _DESCENT_RTOL = 1e-12
+
+_kernel.load()  # compiles once per source hash; never raises
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +105,6 @@ class OptimizerConfig:
     max_ifo: int | None = None                  # hard budget, stops mid-run
     stop_grad_sq: float | None = None           # stop once a snapshot gradient
                                                 # has squared norm <= this
-
-    def resolved_output_rule(self) -> str:
-        return _OUTPUT_RULES[self.algorithm] if self.output_rule == "auto" \
-            else self.output_rule
 
 
 def validate_config(config: OptimizerConfig) -> None:
@@ -160,10 +172,38 @@ class RunResult:
     stopped_early: bool = False
     reached_grad_target: bool = False
     inner_step: str = "dense"            # "sparse": lazy O(nnz) recursion
+    engine: str = "python"               # "compiled": kernel inner segments
 
     @property
     def snapshot_count(self) -> int:
         return int(self.snapshot_iters.size)
+
+
+class _Log:
+    """A growable array of rows that the compiled kernel also appends to,
+    in place (``free``, then ``size += k``)."""
+
+    __slots__ = ("buf", "size")
+
+    def __init__(self, row, dtype):
+        self.buf, self.size = np.empty((64,) + row, dtype), 0
+
+    def free(self) -> int:
+        """Rows free at the end, at least one (doubling when full)."""
+        if self.size == len(self.buf):
+            grown = np.empty((2 * self.size,) + self.buf.shape[1:],
+                             self.buf.dtype)
+            grown[:self.size] = self.buf
+            self.buf = grown
+        return len(self.buf) - self.size
+
+    def append(self, row):
+        self.free()
+        self.buf[self.size] = row
+        self.size += 1
+
+    def array(self) -> np.ndarray:
+        return self.buf[:self.size].copy()
 
 
 class _Run:
@@ -188,13 +228,14 @@ class _Run:
         self._next_thresh = self._last_t = 0
         self._rows, self.snapshot_iters, self.restart_points = [], [], []
         self.snapshot_grads, self.snapshot_points = [], []
-        self.iterates = [] if config.record_iterates else None
-        self.indices = [] if config.record_iterates else None
+        rec = config.record_iterates
+        self.iterates = _Log((model.d,), np.float64) if rec else None
+        self.indices = _Log((), np.int64) if rec else None
         self.stopped = self.hit_target = False
         self.f0 = model.objective(self.x0)
         self.f1 = math.nan
-        if self.iterates is not None:
-            self.iterates.append(self.x0.copy())
+        if rec:
+            self.iterates.append(self.x0)
         self.record(self.x0)
 
     def record(self, x):
@@ -229,7 +270,7 @@ class _Run:
         if not math.isfinite(nx) or nx > _DIVERGE_SQ:
             raise DivergenceError("iterate norm exploded", t)
         if self.iterates is not None:
-            self.iterates.append(est.materialise().copy())
+            self.iterates.append(est.materialise())
         if t == 1:
             self.check_first_step(est.materialise(), est.eta)
         rec = self._rec_step is not None
@@ -251,8 +292,8 @@ class _Run:
                 raise DescentViolation(
                     f"F(x1)={self.f1!r} > F(x0)={self.f0!r} at eta={eta0!r}")
 
-    def finish(self, x_out, total_iterations, bernoulli,
-               inner_step) -> RunResult:
+    def finish(self, x_out, total_iterations, bernoulli, inner_step,
+               engine) -> RunResult:
         cols = [[row[k] for row in self._rows] for k in range(4)]
         trace = Trace(np.array(cols[0]), np.array(cols[1], dtype=np.int64),
                       np.array(cols[2]), np.array(cols[3]))
@@ -264,16 +305,15 @@ class _Run:
             snapshot_iters=np.array(self.snapshot_iters, dtype=np.int64),
             trace=trace,
             bernoulli=bernoulli,
-            indices=(np.array(self.indices, dtype=np.int64)
-                     if self.indices is not None else None),
-            iterates=(np.array(self.iterates)
-                      if self.iterates is not None else None),
+            indices=None if self.indices is None else self.indices.array(),
+            iterates=None if self.iterates is None else self.iterates.array(),
             snapshot_grads=self.snapshot_grads,
             snapshot_points=self.snapshot_points,
             restart_points=self.restart_points,
             stopped_early=self.stopped,
             reached_grad_target=self.hit_target,
             inner_step=inner_step,
+            engine=engine,
         )
 
 
@@ -315,6 +355,7 @@ class _Plain:
 
     kind = "dense"
     steps_at_snapshot = True   # a snapshot ends in x - eta grad F(x)
+    code = 0                   # its kind in the kernel (_segment.c)
 
     def __init__(self, model, eta, counter, x0=None):
         self.model, self.eta, self.counter, self.cur = model, eta, counter, x0
@@ -338,6 +379,7 @@ class _Anchored(_Plain):
     snapshot only sets the anchor x~."""
 
     steps_at_snapshot = False
+    code = 1
 
     def snapshot(self, x, v):
         self.anchor, self.mu, self.cur = x, v, x
@@ -353,6 +395,8 @@ class _DenseRecursion(_Plain):
     """The recursion v_t = grad f_i(x_t) - grad f_i(x_{t-1}) + v_{t-1} on
     explicit iterates (the reference arithmetic).  With ``weights`` (D2S),
     the increment is divided by w_i = n p_i."""
+
+    code = 2
 
     def __init__(self, model, eta, counter, weights=None):
         super().__init__(model, eta, counter)
@@ -403,6 +447,7 @@ class _LazyRecursion:
 
     kind = "sparse"
     steps_at_snapshot = True
+    code = 3
 
     def __init__(self, model, eta, counter, weights=None):
         self.model, self.eta, self.counter = model, eta, counter
@@ -460,6 +505,129 @@ class _LazyRecursion:
         return self.yy - eB * (2.0 * self.yu - eB * self.uu)
 
 
+def engine(model, algorithm: str) -> str:
+    """"compiled" when ``run`` takes ``algorithm``'s inner steps on
+    ``model`` in the compiled kernel, else "python".
+
+    Read from what a run can observe: the kernel loaded (and passed its
+    dot-product self-test), the model is exactly a library model, whose
+    oracles and regularizer the kernel implements, and the two draw
+    functions are still the ``sampling`` ones.  So any proxy model or
+    rebound draw takes the Python path.  GD has no inner steps.
+    """
+    compiled = (_kernel.lib is not None and algorithm != "GD"
+                and type(model) in (LogisticModel, NonconvexLogisticModel)
+                and draw_uniform_index is sampling.draw_uniform_index
+                and draw_snapshot_flag is sampling.draw_snapshot_flag)
+    return "compiled" if compiled else "python"
+
+
+class _Segments:
+    """The compiled kernel on a run's estimator state.  ``run`` takes the
+    passes up to the next event (see _segment.h) in C, with the draws, the
+    IFO count, the divergence guard and the index and iterate logs, and
+    returns the loop position; the Python loop then takes the event's pass.
+    Dense states are copied in per segment, as Python may hold on to the
+    arrays (x_a, restart points); the lazy state is the estimator's own."""
+
+    def __init__(self, model, st, est, streams, table, sched, coin_m, period,
+                 u_cap, bern):
+        ffi = _kernel.ffi
+        self.st, self.est, self.sched, self.n = st, est, sched, model.n
+        self.idx, self.snap = streams["index"], streams["snapshot"]
+        self.bern = bern
+        self.s = s = ffi.new("vr_seg *")
+        A, i64, f64 = model._A, np.int64, np.float64
+        width = int(np.diff(A.indptr).max())
+        self.work = np.empty(2 * model.d + 4 * width)
+        # the kernel reads these through raw pointers: pin dtype and layout
+        self._arrays = [np.ascontiguousarray(a, t) for a, t in (
+            (A.indptr, i64), (A.indices, i64), (A.data, f64), (model._b, f64),
+            (self.work, f64))]
+        self._hold = [ffi.from_buffer("int64_t[]" if a.dtype == i64
+                                      else "double[]", a)
+                      for a in self._arrays]
+        (s.indptr, s.indices, s.values, s.labels, s.work) = self._hold
+        s.n, s.d, s.kind = model.n, model.d, est.code
+        ridge = type(model) is LogisticModel
+        s.reg, s.reg_c = (0, model.lam) if ridge else (1, model.alpha)
+        if table is not None:
+            self._hold += [ffi.from_buffer("double[]", a) for a in
+                           (table.weights, table._accept)]
+            self._hold.append(ffi.from_buffer("int64_t[]", table._alias))
+            s.weights, s.accept, s.alias = self._hold[-3:]
+        for rng, field_ in ((self.idx, s.idx_rng), (self.snap, s.snap_rng)):
+            field_[0], field_[1] = rng._start, rng._gamma
+        s.coin_m, s.period, s.u_cap = coin_m, period, u_cap
+        s.ifo_cap = -1 if st.config.max_ifo is None else st.config.max_ifo
+        s.pass_k, s.rebase, s.diverge_sq = -1, _REBASE_RATIO, _DIVERGE_SQ
+        if est.code == 3:
+            s.lam_eta = est.lam_eta
+
+    @staticmethod
+    def _vec(a, copy):
+        """A C-contiguous float64 array (a copy if asked) and its pointer."""
+        a = (np.array if copy else np.asarray)(a, np.float64, order="C")
+        return a, _kernel.ffi.from_buffer("double[]", a)
+
+    def run(self, updates, inner, a_at):
+        st, est, s, ffi = self.st, self.est, self.s, _kernel.ffi
+        if not updates:
+            return updates, inner  # the first update is Python's
+        count = st.counter.count
+        if self.sched is not None:
+            s.pass_k = count // self.n
+            est.eta = self.sched(s.pass_k)
+        s.eta, s.updates, s.inner, s.count = est.eta, updates, inner, count
+        s.a_at = a_at
+        s.rec_next = -1 if st._rec_step is None else st._next_thresh
+        s.idx_rng[2], s.snap_rng[2] = self.idx._ctr, self.snap._ctr
+        code = est.code
+        if code == 3:  # est.y and est.u stay alive, and are updated in place
+            s.y, s.u = (ffi.from_buffer("double[]", a) for a in (est.y, est.u))
+            s.alpha, s.B, s.yy, s.yu, s.uu = (est.alpha, est.B, est.yy,
+                                              est.yu, est.uu)
+        else:
+            cur, s.cur = self._vec(est.cur, True)
+            if code == 1:
+                self._pins = [self._vec(a, False) for a in (est.anchor, est.mu)]
+                s.prev, s.v = (ptr for _, ptr in self._pins)
+            elif code == 2:
+                prev, s.prev = self._vec(est.prev, True)
+                v, s.v = self._vec(est.v, True)
+        logs = (st.indices, st.iterates)
+        while True:
+            start = s.updates
+            if st.indices is not None:
+                s.max_steps = min(log.free() for log in logs)
+                s.idx_log = (ffi.from_buffer("int64_t[]", st.indices.buf)
+                             + st.indices.size)
+                s.it_log = (ffi.from_buffer("double[]", st.iterates.buf)
+                            + st.iterates.size * st.model.d)
+            else:
+                s.max_steps = -1
+            why = _kernel.lib.vr_segment(s)
+            if st.indices is not None:
+                for log in logs:
+                    log.size += s.updates - start
+            if why != _kernel.lib.VR_FULL:
+                break
+        if code == 3:
+            est.alpha, est.B, est.yy, est.yu, est.uu = (s.alpha, s.B, s.yy,
+                                                        s.yu, s.uu)
+        else:
+            est.cur = cur
+            if code == 2:
+                est.prev, est.v = prev, v
+        st.counter.count = s.count
+        self.idx._ctr, self.snap._ctr = s.idx_rng[2], s.snap_rng[2]
+        if self.bern is not None:
+            self.bern += bytes(s.updates - updates)
+        if why == _kernel.lib.VR_DIVERGED:
+            raise DivergenceError("iterate norm exploded", s.updates)
+        return s.updates, s.inner
+
+
 def run(model, config: OptimizerConfig) -> RunResult:
     """Run ``config.algorithm`` on ``model``: the one optimizer loop (see
     the module docstring for the parts that set the algorithms apart)."""
@@ -491,7 +659,7 @@ def run(model, config: OptimizerConfig) -> RunResult:
     first = algo != "SGD"
     coin = algo in ("L2S", "L2S-SC")
     period = 0 if algo == "GD" else m
-    bern = [] if coin else None
+    bern = bytearray() if coin else None
 
     # horizon: the loop ends once `updates` reaches u_cap or `snaps` s_cap
     if algo == "L2S-SC":
@@ -515,10 +683,17 @@ def run(model, config: OptimizerConfig) -> RunResult:
     keep_restart = keep_out and outer
     back = algo == "L2S-SC" and config.step_back
 
+    seg = None if engine(model, algo) == "python" else _Segments(
+        model, st, est, st.streams, table, sched, m if coin else 0,
+        -1 if algo == "SGD" else period, u_cap, bern)
     keep = x_out = None
     a_at = -1                       # the update whose iterate is x_a
     updates = snaps = inner = 0
     while updates != u_cap and snaps != s_cap:
+        if seg is not None:
+            updates, inner = seg.run(updates, inner, a_at)
+            if updates == u_cap:
+                break
         if sched is not None:
             est.eta = sched(st.counter.count // n)
         if not snaps:
@@ -536,7 +711,7 @@ def run(model, config: OptimizerConfig) -> RunResult:
             else:
                 x = est.materialise(prev=back)
                 if back and st.iterates is not None:
-                    st.iterates[-1] = x.copy()  # the step back rewrites x_t
+                    st.iterates.buf[updates] = x  # the step back rewrites x_t
             v = model.full_gradient(x, st.counter)
             st.note_snapshot(updates, v, x)
             snaps += 1
@@ -568,7 +743,7 @@ def run(model, config: OptimizerConfig) -> RunResult:
                  else est.materialise() if updates else st.x0)
     return st.finish(x_out, updates,
                      None if bern is None else np.array(bern, dtype=np.uint8),
-                     est.kind)
+                     est.kind, "python" if seg is None else "compiled")
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,6 @@ _INV_2_53 = 1.0 / (1 << 53)
 STREAM_INDEX = 0
 STREAM_SNAPSHOT = 1
 STREAM_OUTPUT = 2
-STREAM_INIT = 3
 
 
 def _mix64(z: int) -> int:
