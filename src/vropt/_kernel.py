@@ -108,7 +108,7 @@ def _self_test(ffi, lib) -> bool:
     return True
 
 
-def load(dirs=None, builder=None):
+def load(dirs=None, compile_fn=None):
     """Load (building first if needed) the kernel; set and return ``lib``,
     or None when it is unavailable.  Never raises."""
     global lib, ffi, status
@@ -130,7 +130,7 @@ def load(dirs=None, builder=None):
         path = Path(cache) / target
         try:
             if not path.exists():
-                (builder or build)(name, Path(cache))
+                (compile_fn or build)(name, Path(cache))
             spec = importlib.util.spec_from_file_location(name, path)
             mod = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(mod)

@@ -147,47 +147,6 @@ static void dense_step(vr_seg *s, int64_t i)
     }
 }
 
-/* ---- optim._LazyRecursion.step; 0 (nothing done) when it needs a fold ---- */
-
-static int lazy_step(vr_seg *s, int64_t i)
-{
-    int64_t lo = s->indptr[i], nnz = s->indptr[i + 1] - lo, j, k;
-    const int64_t *idx = s->indices + lo;
-    const double *val = s->values + lo;
-    double *xs = s->work, *du = xs + nnz, *us = du + nnz, *ys = us + nnz;
-    double *y = s->y, *u = s->u, eta = s->eta;
-    double w = s->weights ? s->weights[i] : 1.0;
-    double rho = s->weights ? 1.0 - s->lam_eta / w : 1.0 - s->lam_eta;
-    double alpha = s->alpha * rho, eB = eta * s->B, eBp, c1, c0, sa, p, q, r;
-    if (fabs(s->B) > s->rebase * fabs(alpha))
-        return 0;
-    for (k = 0; k < nnz; k++)
-        xs[k] = y[idx[k]] - eB * u[idx[k]];
-    c1 = coef(s, i, nnz, val, xs);
-    eBp = eta * (s->B - s->alpha);
-    for (k = 0; k < nnz; k++)
-        xs[k] = y[idx[k]] - eBp * u[idx[k]];
-    c0 = coef(s, i, nnz, val, xs);
-    sa = (s->weights ? (c1 - c0) / w : c1 - c0) / alpha;
-    for (k = 0; k < nnz; k++) {
-        j = idx[k];
-        du[k] = sa * val[k];
-        us[k] = u[j];
-        ys[k] = y[j];
-        u[j] = us[k] + du[k];
-        y[j] = ys[k] + eB * du[k];
-    }
-    p = vr_dot(nnz, du, du);
-    q = vr_dot(nnz, du, us);
-    r = vr_dot(nnz, du, ys);
-    s->uu += 2.0 * q + p;
-    s->yu += r + eB * (q + p);
-    s->yy += eB * (2.0 * r + eB * p);
-    s->alpha = alpha;
-    s->B += alpha;
-    return 1;
-}
-
 /* ---- the loop of optim.run over inner-step passes ---- */
 
 int vr_segment(vr_seg *s)
@@ -195,8 +154,8 @@ int vr_segment(vr_seg *s)
     int64_t cost = s->kind == 0 ? 1 : 2, d = s->d, steps = 0, i, j;
     for (;;) {
         int64_t next = s->count + cost;
-        uint64_t ictr = s->idx_rng[2], sctr = s->snap_rng[2];
-        double nx, eB;
+        uint64_t sctr = s->snap_rng[2];
+        double nx;
         if (s->updates == s->u_cap)
             return VR_HORIZON;
         if (s->updates == 0)
@@ -218,19 +177,11 @@ int vr_segment(vr_seg *s)
             return VR_SNAPSHOT;
         }
         i = draw_index(s);
-        if (s->kind != 3) {
-            dense_step(s, i);
-        } else if (!lazy_step(s, i)) {
-            s->idx_rng[2] = ictr;
-            s->snap_rng[2] = sctr;
-            return VR_FOLD;
-        }
+        dense_step(s, i);
         s->count = next;
         s->inner++;
         s->updates++;
-        eB = s->eta * s->B;
-        nx = s->kind != 3 ? vr_dot(d, s->cur, s->cur)
-                          : s->yy - eB * (2.0 * s->yu - eB * s->uu);
+        nx = vr_dot(d, s->cur, s->cur);
         if (!isfinite(nx) || nx > s->diverge_sq)
             return VR_DIVERGED;
         if (s->idx_log)
@@ -238,7 +189,7 @@ int vr_segment(vr_seg *s)
         if (s->it_log) {
             double *row = s->it_log + steps * d;
             for (j = 0; j < d; j++)
-                row[j] = s->kind != 3 ? s->cur[j] : s->y[j] - eB * s->u[j];
+                row[j] = s->cur[j];
         }
         steps++;
     }

@@ -10,9 +10,8 @@
 #define VR_KEEP 4       /* ... or is the restart point x_a */
 #define VR_ETA 5        /* the pass index count / n moved on (SGD step size) */
 #define VR_SNAPSHOT 6   /* the next pass is a snapshot */
-#define VR_FOLD 7       /* the lazy state needs its O(d) fold */
-#define VR_FULL 8       /* the iterate or index log is full */
-#define VR_DIVERGED 9   /* ||x_updates||^2 is not finite or above diverge_sq */
+#define VR_FULL 7       /* the iterate or index log is full */
+#define VR_DIVERGED 8   /* ||x_updates||^2 is not finite or above diverge_sq */
 
 typedef struct {
     /* model: CSR rows, labels and regularizer (0: lam x, 1: the bounded
@@ -23,16 +22,13 @@ typedef struct {
     int reg;
     double reg_c;
     /* estimator: 0 plain (cur), 1 anchored (cur, prev = anchor, v = mu),
-       2 recursion (cur, prev, v), 3 lazy recursion (y, u, alpha, B and
-       the running sums yy, yu, uu) */
+       2 recursion (cur, prev, v) */
     int kind;
     double eta;
     double *cur, *prev, *v;
-    double *y, *u;
-    double alpha, B, yy, yu, uu, lam_eta, rebase;
     const double *weights, *accept;     /* D2S: n p_i and the alias table */
     const int64_t *alias;
-    double *work;                       /* 2 d + 4 (longest row) doubles */
+    double *work;                       /* 2 d + (longest row) doubles */
     /* index and snapshot streams: start, gamma, counter */
     uint64_t idx_rng[3], snap_rng[3];
     /* loop position, advanced in place */

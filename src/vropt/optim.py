@@ -49,14 +49,15 @@ Engine
 ------
 The loop advances by segments: the inner-step passes up to the next event
 (a snapshot, a trace threshold, ``max_ifo``, the restart point x_a, the
-horizon, the first update, an SGD pass boundary, a lazy fold or
-divergence).  When ``engine`` selects it, a compiled kernel (``_segment.c``,
-built at import by ``_kernel``) takes each segment, draws included, and
-stops before the event's pass, which this loop then takes.  The kernel
-repeats the Python estimators' arithmetic operation for operation, with
-numpy's own ddot for every dot product, so both engines give bit-identical
-results; ``RunResult.engine`` records which ran.  Proxy models, rebound
-draw functions and a missing kernel take the Python loop.
+horizon, the first update, an SGD pass boundary or divergence).  When
+``engine`` selects it, a compiled kernel (``_segment.c``, built at import
+by ``_kernel``) takes each segment of the dense estimators, draws
+included, and stops before the event's pass, which this loop then takes.
+The kernel repeats the Python estimators' arithmetic operation for
+operation, with numpy's own ddot for every dot product, so both engines
+give bit-identical results; ``RunResult.engine`` records which ran.  Proxy
+models, rebound draw functions, the lazy recursion and a missing kernel
+take the Python loop.
 """
 
 from __future__ import annotations
@@ -447,7 +448,6 @@ class _LazyRecursion:
 
     kind = "sparse"
     steps_at_snapshot = True
-    code = 3
 
     def __init__(self, model, eta, counter, weights=None):
         self.model, self.eta, self.counter = model, eta, counter
@@ -511,14 +511,16 @@ def engine(model, algorithm: str) -> str:
 
     Read from what a run can observe: the kernel loaded (and passed its
     dot-product self-test), the model is exactly a library model, whose
-    oracles and regularizer the kernel implements, and the two draw
-    functions are still the ``sampling`` ones.  So any proxy model or
-    rebound draw takes the Python path.  GD has no inner steps.
+    oracles and regularizer the kernel implements, the two draw functions
+    are still the ``sampling`` ones, and the inner steps are dense.  So
+    any proxy model or rebound draw takes the Python path.  GD has no inner
+    steps.  The lazy recursion stays in Python (ROADMAP item 1).
     """
     compiled = (_kernel.lib is not None and algorithm != "GD"
                 and type(model) in (LogisticModel, NonconvexLogisticModel)
                 and draw_uniform_index is sampling.draw_uniform_index
-                and draw_snapshot_flag is sampling.draw_snapshot_flag)
+                and draw_snapshot_flag is sampling.draw_snapshot_flag
+                and inner_step(model, algorithm) == "dense")
     return "compiled" if compiled else "python"
 
 
@@ -527,19 +529,22 @@ class _Segments:
     passes up to the next event (see _segment.h) in C, with the draws, the
     IFO count, the divergence guard and the index and iterate logs, and
     returns the loop position; the Python loop then takes the event's pass.
-    Dense states are copied in per segment, as Python may hold on to the
-    arrays (x_a, restart points); the lazy state is the estimator's own."""
+    The state is copied in per segment, as Python may hold on to the
+    estimator's arrays (x_a, restart points)."""
 
-    def __init__(self, model, st, est, streams, table, sched, coin_m, period,
-                 u_cap, bern):
+    # the estimator arrays behind vr_seg's cur, prev and v, by est.code
+    _STATE = {0: ("cur",), 1: ("cur", "anchor", "mu"), 2: ("cur", "prev", "v")}
+
+    def __init__(self, model, st, est, table, sched, coin_m, period, u_cap,
+                 bern):
         ffi = _kernel.ffi
         self.st, self.est, self.sched, self.n = st, est, sched, model.n
-        self.idx, self.snap = streams["index"], streams["snapshot"]
+        self.idx, self.snap = st.streams["index"], st.streams["snapshot"]
         self.bern = bern
         self.s = s = ffi.new("vr_seg *")
         A, i64, f64 = model._A, np.int64, np.float64
         width = int(np.diff(A.indptr).max())
-        self.work = np.empty(2 * model.d + 4 * width)
+        self.work = np.empty(2 * model.d + width)
         # the kernel reads these through raw pointers: pin dtype and layout
         self._arrays = [np.ascontiguousarray(a, t) for a, t in (
             (A.indptr, i64), (A.indices, i64), (A.data, f64), (model._b, f64),
@@ -560,15 +565,7 @@ class _Segments:
             field_[0], field_[1] = rng._start, rng._gamma
         s.coin_m, s.period, s.u_cap = coin_m, period, u_cap
         s.ifo_cap = -1 if st.config.max_ifo is None else st.config.max_ifo
-        s.pass_k, s.rebase, s.diverge_sq = -1, _REBASE_RATIO, _DIVERGE_SQ
-        if est.code == 3:
-            s.lam_eta = est.lam_eta
-
-    @staticmethod
-    def _vec(a, copy):
-        """A C-contiguous float64 array (a copy if asked) and its pointer."""
-        a = (np.array if copy else np.asarray)(a, np.float64, order="C")
-        return a, _kernel.ffi.from_buffer("double[]", a)
+        s.pass_k, s.diverge_sq = -1, _DIVERGE_SQ
 
     def run(self, updates, inner, a_at):
         st, est, s, ffi = self.st, self.est, self.s, _kernel.ffi
@@ -582,19 +579,11 @@ class _Segments:
         s.a_at = a_at
         s.rec_next = -1 if st._rec_step is None else st._next_thresh
         s.idx_rng[2], s.snap_rng[2] = self.idx._ctr, self.snap._ctr
-        code = est.code
-        if code == 3:  # est.y and est.u stay alive, and are updated in place
-            s.y, s.u = (ffi.from_buffer("double[]", a) for a in (est.y, est.u))
-            s.alpha, s.B, s.yy, s.yu, s.uu = (est.alpha, est.B, est.yy,
-                                              est.yu, est.uu)
-        else:
-            cur, s.cur = self._vec(est.cur, True)
-            if code == 1:
-                self._pins = [self._vec(a, False) for a in (est.anchor, est.mu)]
-                s.prev, s.v = (ptr for _, ptr in self._pins)
-            elif code == 2:
-                prev, s.prev = self._vec(est.prev, True)
-                v, s.v = self._vec(est.v, True)
+        names = self._STATE[est.code]
+        state = [np.array(getattr(est, k), np.float64, order="C")
+                 for k in names]
+        ptrs = [ffi.from_buffer("double[]", a) for a in state]
+        s.cur, s.prev, s.v = ptrs + [ffi.NULL] * (3 - len(ptrs))
         logs = (st.indices, st.iterates)
         while True:
             start = s.updates
@@ -612,13 +601,8 @@ class _Segments:
                     log.size += s.updates - start
             if why != _kernel.lib.VR_FULL:
                 break
-        if code == 3:
-            est.alpha, est.B, est.yy, est.yu, est.uu = (s.alpha, s.B, s.yy,
-                                                        s.yu, s.uu)
-        else:
-            est.cur = cur
-            if code == 2:
-                est.prev, est.v = prev, v
+        for k, a in zip(names, state):
+            setattr(est, k, a)
         st.counter.count = s.count
         self.idx._ctr, self.snap._ctr = s.idx_rng[2], s.snap_rng[2]
         if self.bern is not None:
@@ -684,7 +668,7 @@ def run(model, config: OptimizerConfig) -> RunResult:
     back = algo == "L2S-SC" and config.step_back
 
     seg = None if engine(model, algo) == "python" else _Segments(
-        model, st, est, st.streams, table, sched, m if coin else 0,
+        model, st, est, table, sched, m if coin else 0,
         -1 if algo == "SGD" else period, u_cap, bern)
     keep = x_out = None
     a_at = -1                       # the update whose iterate is x_a

@@ -19,7 +19,7 @@ from vropt.cli import main as cli_main
 from vropt.data import SyntheticSpec, generate_synthetic, write_libsvm
 from vropt.errors import DivergenceError
 from vropt.model import LogisticModel, NonconvexLogisticModel
-from vropt.optim import ALGORITHMS, OptimizerConfig, engine, run
+from vropt.optim import ALGORITHMS, OptimizerConfig, engine, inner_step, run
 from vropt.sampling import (STREAM_INDEX, STREAM_SNAPSHOT, ImportanceTable,
                             Rng)
 
@@ -50,9 +50,10 @@ def models():
         "dense-lam0": LogisticModel(generate_synthetic(dense), lam=0.0),
         "nonconvex": NonconvexLogisticModel(generate_synthetic(dense),
                                             alpha=0.5),
-        "lazy-sparse": LogisticModel(make_sparse_dataset(n=150, seed=1),
-                                     lam=1e-3),
-        # rho about 1/2 per step: the lazy state folds every few steps
+        # sparse rows at d = 1024: the recursive estimators step lazily (in
+        # Python), SGD and SVRG densely (in the kernel)
+        "sparse": LogisticModel(make_sparse_dataset(n=150, seed=1),
+                                lam=1e-3),
         "ridge-dominated": LogisticModel(
             make_sparse_dataset(n=150, seed=3, scale=0.1), lam=1.0),
     }
@@ -115,9 +116,10 @@ def _eta(model, algo, scale=0.5):
 @needs_kernel
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("name", ["dense", "dense-lam0", "nonconvex",
-                                  "lazy-sparse", "ridge-dominated"])
+                                  "sparse", "ridge-dominated"])
 def test_compiled_path_is_bit_identical(models, name, algo):
     model = models[name]
+    compiled_path = algo != "GD" and inner_step(model, algo) == "dense"
     for kw in _variants(algo, model.n, model.d):
         for seed in (0, 7):
             config = OptimizerConfig(algo, eta=_eta(model, algo), seed=seed,
@@ -127,13 +129,13 @@ def test_compiled_path_is_bit_identical(models, name, algo):
             assert_same_run(compiled, python)
             if not isinstance(compiled, tuple):
                 assert python.engine == "python"
-                assert compiled.engine == ("python" if algo == "GD"
-                                           else "compiled")
+                assert compiled.engine == ("compiled" if compiled_path
+                                           else "python")
 
 
 @needs_kernel
 @pytest.mark.parametrize("algo", ALGORITHMS)
-@pytest.mark.parametrize("name", ["dense", "lazy"])
+@pytest.mark.parametrize("name", ["dense", "sparse"])
 def test_divergence_matches(name, algo):
     """With eta lam near 10 every iterate grows tenfold: both paths raise
     at the same iteration with the same message."""
@@ -239,7 +241,7 @@ def restore_kernel(monkeypatch):
 @pytest.mark.parametrize("cause", ["unavailable", "build failed"])
 def test_fallback_runs_python_path(models, restore_kernel, monkeypatch,
                                    tmp_path, cause):
-    model = models["lazy-sparse"]
+    model = models["dense"]
     reference = _all_algorithms(model)
     if cause == "unavailable":
         monkeypatch.setattr(_kernel, "lib", None)
@@ -248,7 +250,7 @@ def test_fallback_runs_python_path(models, restore_kernel, monkeypatch,
 
         def no_compiler(name, cache):
             raise RuntimeError("no C compiler")
-        assert _kernel.load([tmp_path], builder=no_compiler) is None
+        assert _kernel.load([tmp_path], compile_fn=no_compiler) is None
         assert _kernel.status.startswith("build failed")
     assert _kernel.lib is None
     for ref, res in zip(reference, _all_algorithms(model)):
