@@ -2,11 +2,19 @@
 
 The kernel is compiled with cffi's API mode and the system C compiler, once
 per hash of its source, declarations and flags and per Python ABI, into
-``_kernel_cache/`` next to this file (or, when that is not writable, a
-directory under the system temporary directory).  The compiler runs in a
-child process, so building costs the importing process no memory, and the
-module is written under a temporary name and moved into place with
+``_kernel_cache/`` next to this file or, when that cannot be used, the
+per-user ``$XDG_CACHE_HOME/vropt`` (``~/.cache/vropt``).  The compiler runs
+in a child process, so building costs the importing process no memory, and
+the module is written under a temporary name and moved into place with
 ``os.replace``, so processes that build at once never see a partial file.
+
+Loading a module runs its code, so a cache directory and the module in it
+are used only when they are not symbolic links, belong to this user (or
+root) and cannot be written by group or others; a new directory is made
+with mode 0o700.  A failed compile leaves ``<module file>.failed`` with
+its error in the cache, and later imports take the Python loop without
+compiling again (delete the file to retry); a missing compiler is found
+before any child process starts.
 
 ``load()`` runs at ``vropt.optim`` import and leaves ``lib`` and ``ffi``
 set, or ``None`` with the reason in ``status``.  The kernel is only loaded
@@ -20,10 +28,12 @@ import ctypes
 import hashlib
 import importlib.util
 import os
+import shlex
+import shutil
+import stat
 import subprocess
 import sys
 import sysconfig
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +58,7 @@ ffi.set_source(name, read("_segment.c"), include_dirs=[src],
 tmp = tempfile.mkdtemp(dir=cache, prefix=".build-")
 try:
     built = ffi.compile(tmpdir=tmp)
+    os.chmod(built, 0o755)
     os.replace(built, os.path.join(cache, os.path.basename(built)))
 finally:
     shutil.rmtree(tmp, ignore_errors=True)
@@ -66,18 +77,51 @@ def module_name() -> str:
 
 
 def cache_dirs() -> list:
-    return [HERE / "_kernel_cache",
-            Path(tempfile.gettempdir()) / f"vropt-kernel-{os.getuid()}"]
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    user = Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache"
+    return [HERE / "_kernel_cache", user / "vropt"]
+
+
+def _check_private(path: Path) -> None:
+    """Raise PermissionError unless ``path`` is no symbolic link, belongs to
+    this user or root, and cannot be written by group or others."""
+    st = os.lstat(path)
+    if stat.S_ISLNK(st.st_mode):
+        raise PermissionError(f"{path} is a symbolic link")
+    if st.st_uid not in (os.getuid(), 0):
+        raise PermissionError(f"{path} belongs to uid {st.st_uid}")
+    if st.st_mode & 0o022:
+        raise PermissionError(f"{path} is writable by group or others")
+
+
+def _compiler() -> str | None:
+    """The C compiler a build would run, if it is on the PATH."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    words = shlex.split(cc)
+    return shutil.which(words[0]) if words else None
 
 
 def build(name: str, cache: Path) -> None:
-    """Compile the kernel into ``cache`` in a child process."""
-    cache.mkdir(parents=True, exist_ok=True)
-    proc = subprocess.run(
-        [sys.executable, "-c", _BUILD, name, str(HERE), str(cache), *CFLAGS],
-        capture_output=True, text=True, timeout=300)
-    if proc.returncode:
-        raise RuntimeError(proc.stderr.strip().rsplit("\n", 1)[-1])
+    """Compile the kernel into ``cache`` in a child process, unless an
+    earlier compile of the same module failed there or no compiler is
+    found; a failed compile is recorded for the next call."""
+    failed = cache / (name + sysconfig.get_config_var("EXT_SUFFIX") + ".failed")
+    if failed.exists():
+        raise RuntimeError(f"earlier build failed, see {failed}")
+    if _compiler() is None:
+        raise RuntimeError("no C compiler found")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD, name, str(HERE), str(cache),
+             *CFLAGS], capture_output=True, text=True, timeout=300)
+    except subprocess.TimeoutExpired:
+        error = "compile timed out after 300 s"
+    else:
+        error = proc.returncode and (proc.stderr.strip().rsplit("\n", 1)[-1]
+                                     or f"exit status {proc.returncode}")
+    if error:
+        failed.write_text(error + "\n")
+        raise RuntimeError(error)
 
 
 def _numpy_ddot():
@@ -126,17 +170,20 @@ def load(dirs=None, compile_fn=None):
         status = f"unavailable: {exc}"
         return None
     errors = []
-    for cache in candidates:
-        path = Path(cache) / target
+    for cache in map(Path, candidates):
+        path = cache / target
         try:
+            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+            _check_private(cache)
             if not path.exists():
-                (compile_fn or build)(name, Path(cache))
+                (compile_fn or build)(name, cache)
+            _check_private(path)
             spec = importlib.util.spec_from_file_location(name, path)
             mod = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(mod)
             addr, int64_args = _numpy_ddot()
             mod.lib.vr_set_ddot(mod.ffi.cast("void *", addr), int64_args)
-        except Exception as exc:  # no compiler, unwritable cache, ...
+        except Exception as exc:  # no compiler, unsafe cache, ...
             errors.append(f"{cache}: {exc}")
             continue
         if not _self_test(mod.ffi, mod.lib):

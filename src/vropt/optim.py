@@ -70,7 +70,7 @@ import numpy as np
 
 from . import _kernel, sampling
 from .errors import ConfigError, DescentViolation, DivergenceError
-from .model import IfoCounter, LogisticModel, NonconvexLogisticModel
+from .model import IfoCounter, kernel_view
 from .sampling import (
     build_importance_table,
     draw_snapshot_flag,
@@ -510,14 +510,15 @@ def engine(model, algorithm: str) -> str:
     ``model`` in the compiled kernel, else "python".
 
     Read from what a run can observe: the kernel loaded (and passed its
-    dot-product self-test), the model is exactly a library model, whose
-    oracles and regularizer the kernel implements, the two draw functions
-    are still the ``sampling`` ones, and the inner steps are dense.  So
-    any proxy model or rebound draw takes the Python path.  GD has no inner
-    steps.  The lazy recursion stays in Python (ROADMAP item 1).
+    dot-product self-test), ``vropt.model.kernel_view`` gives the model's
+    arrays (only a library model, whose oracles the kernel repeats, has
+    them), the two draw functions are still the ``sampling`` ones, and the
+    inner steps are dense.  So any proxy model or rebound draw takes the
+    Python path.  GD has no inner steps.  The lazy recursion stays in
+    Python (ROADMAP item 1).
     """
     compiled = (_kernel.lib is not None and algorithm != "GD"
-                and type(model) in (LogisticModel, NonconvexLogisticModel)
+                and kernel_view(model) is not None
                 and draw_uniform_index is sampling.draw_uniform_index
                 and draw_snapshot_flag is sampling.draw_snapshot_flag
                 and inner_step(model, algorithm) == "dense")
@@ -542,24 +543,24 @@ class _Segments:
         self.idx, self.snap = st.streams["index"], st.streams["snapshot"]
         self.bern = bern
         self.s = s = ffi.new("vr_seg *")
-        A, i64, f64 = model._A, np.int64, np.float64
-        width = int(np.diff(A.indptr).max())
+        view, i64, f64 = kernel_view(model), np.int64, np.float64
+        width = int(np.diff(view.indptr).max())
         self.work = np.empty(2 * model.d + width)
         # the kernel reads these through raw pointers: pin dtype and layout
         self._arrays = [np.ascontiguousarray(a, t) for a, t in (
-            (A.indptr, i64), (A.indices, i64), (A.data, f64), (model._b, f64),
-            (self.work, f64))]
+            (view.indptr, i64), (view.indices, i64), (view.values, f64),
+            (view.labels, f64), (self.work, f64))]
         self._hold = [ffi.from_buffer("int64_t[]" if a.dtype == i64
                                       else "double[]", a)
                       for a in self._arrays]
         (s.indptr, s.indices, s.values, s.labels, s.work) = self._hold
         s.n, s.d, s.kind = model.n, model.d, est.code
-        ridge = type(model) is LogisticModel
-        s.reg, s.reg_c = (0, model.lam) if ridge else (1, model.alpha)
+        s.reg, s.reg_c = view.reg, view.reg_c
         if table is not None:
+            accept, alias = table.alias_table()
             self._hold += [ffi.from_buffer("double[]", a) for a in
-                           (table.weights, table._accept)]
-            self._hold.append(ffi.from_buffer("int64_t[]", table._alias))
+                           (table.weights, accept)]
+            self._hold.append(ffi.from_buffer("int64_t[]", alias))
             s.weights, s.accept, s.alias = self._hold[-3:]
         for rng, field_ in ((self.idx, s.idx_rng), (self.snap, s.snap_rng)):
             field_[0], field_[1] = rng._start, rng._gamma

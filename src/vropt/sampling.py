@@ -215,6 +215,11 @@ class ImportanceTable:
             return k
         return k if rng.random() < q else self._alias[k]
 
+    def alias_table(self):
+        """(accept, alias): ``draw`` keeps a uniform k when accept[k] >= 1
+        or a uniform coin falls below accept[k], else returns alias[k]."""
+        return self._accept, self._alias
+
     def draw_block(self, rng: Rng, size: int) -> np.ndarray:
         return np.fromiter(
             (self.draw(rng) for _ in range(size)), dtype=np.int64, count=size

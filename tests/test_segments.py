@@ -5,8 +5,11 @@ the fallback when the kernel is missing, and the build cache."""
 import dataclasses
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -210,8 +213,9 @@ def test_kernel_table_draw_matches_importance_table(lipschitz, seed, size):
     ffi, table = _kernel.ffi, ImportanceTable(lipschitz)
     rng = Rng(seed, 0)
     s = ffi.new("vr_seg *")
-    hold = (ffi.from_buffer("double[]", table._accept),
-            ffi.from_buffer("int64_t[]", table._alias))
+    accept, alias = table.alias_table()
+    hold = (ffi.from_buffer("double[]", accept),
+            ffi.from_buffer("int64_t[]", alias))
     s.n, (s.accept, s.alias) = table.n, hold
     s.idx_rng[0], s.idx_rng[1] = rng._start, rng._gamma
     out = np.empty(size, dtype=np.int64)
@@ -292,6 +296,98 @@ def test_concurrent_builds_share_one_cache(tmp_path):
     names = sorted(p.name for p in cache.iterdir())
     assert len(names) == 1 and names[0].startswith(_kernel.module_name())
     assert names[0].endswith(".so")
+
+
+def _built_module():
+    """The loaded kernel's file, or a stand-in when no kernel is built: the
+    checks below must refuse the file before anything loads it."""
+    path = Path(_kernel.status.rpartition("loaded from ")[2])
+    return path if path.is_file() else None
+
+
+@pytest.mark.parametrize("flaw", ["group-writable", "other-writable",
+                                  "symlink", "foreign owner",
+                                  "other-writable module"])
+def test_unsafe_cache_is_never_loaded(restore_kernel, tmp_path, flaw):
+    """A cache directory, or a module in it, that someone else could have
+    written is refused before its module is loaded, also when it holds a
+    module under the right name, and nothing is built there."""
+    pytest.importorskip("cffi")
+    name = _kernel.module_name()
+    target = name + sysconfig.get_config_var("EXT_SUFFIX")
+    real = tmp_path / "real"
+    real.mkdir(mode=0o700)
+    built = _built_module()
+    module = real / target
+    if built is not None:
+        shutil.copyfile(built, module)
+    else:
+        module.write_bytes(b"not a module")
+    module.chmod(0o755)
+    cache = real
+    if flaw == "group-writable":
+        real.chmod(0o770)
+    elif flaw == "other-writable":
+        real.chmod(0o707)
+    elif flaw == "symlink":
+        cache = tmp_path / "link"
+        cache.symlink_to(real)
+    elif flaw == "foreign owner":
+        if os.getuid() != 0:
+            pytest.skip("only root can give a directory away")
+        os.chown(real, 12345, -1)
+    else:
+        module.chmod(0o757)
+
+    def build(name, cache):
+        raise AssertionError("built into an unsafe cache")
+    assert _kernel.load([cache], compile_fn=build) is None
+    assert "by group or others" in _kernel.status or (
+        "symbolic link" in _kernel.status or "belongs to uid" in _kernel.status)
+    assert _kernel.lib is None
+    if built is not None:  # the same file in a private directory loads
+        module.chmod(0o755)
+        real.chmod(0o700)
+        if flaw == "foreign owner":
+            os.chown(real, os.getuid(), -1)
+        assert _kernel.load([real], compile_fn=build) is not None
+
+
+def test_new_cache_directory_is_private(restore_kernel, tmp_path):
+    pytest.importorskip("cffi")
+    cache = tmp_path / "a" / "cache"
+    _kernel.load([cache], compile_fn=lambda name, cache: None)
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+
+
+def test_failed_build_is_not_repeated(restore_kernel, monkeypatch, tmp_path):
+    """A compile that fails is recorded in the cache; the next load fails at
+    once, without starting a process, until the record is deleted."""
+    pytest.importorskip("cffi")
+    monkeypatch.setenv("CC", "false")  # found, and fails every compile
+    assert _kernel.load([tmp_path]) is None
+    failed = [p.name for p in tmp_path.iterdir()]
+    assert failed == [_kernel.module_name()
+                      + sysconfig.get_config_var("EXT_SUFFIX") + ".failed"]
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("started a build process")
+    monkeypatch.setattr(_kernel.subprocess, "run", no_process)
+    assert _kernel.load([tmp_path]) is None
+    assert "earlier build failed" in _kernel.status
+
+
+def test_missing_compiler_starts_no_process(restore_kernel, monkeypatch,
+                                            tmp_path):
+    pytest.importorskip("cffi")
+    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("started a build process")
+    monkeypatch.setattr(_kernel.subprocess, "run", no_process)
+    assert _kernel.load([tmp_path / "cache"]) is None
+    assert "no C compiler" in _kernel.status
+    assert list((tmp_path / "cache").iterdir()) == []  # nothing recorded
 
 
 # -- vropt run ---------------------------------------------------------------
