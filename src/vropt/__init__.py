@@ -15,7 +15,6 @@ from .model import (
     IfoCounter,
     LogisticModel,
     NonconvexLogisticModel,
-    SmoothnessConstants,
     SparseRow,
 )
 from .optim import (
@@ -48,7 +47,7 @@ __all__ = [
     "DescentViolation", "DivergenceError", "IfoCounter", "ImportanceTable",
     "LogisticModel", "NonconvexLogisticModel", "NumericError",
     "OptimizerConfig", "ParseError", "PlannedStep", "Rng", "RunResult",
-    "SmoothnessConstants", "SparseRow", "SyntheticSpec", "VroptError",
+    "SparseRow", "SyntheticSpec", "VroptError",
     "build_importance_table", "c_eta", "draw_snapshot_flag",
     "draw_uniform_index", "eta_max_nonconvex", "generate_synthetic",
     "lambda_last_iterate", "lambda_loopless_sc", "parse_libsvm",

@@ -358,7 +358,7 @@ def emit_plot(trace_paths, out_path, style: str = "grad",
 # ---------------------------------------------------------------------------
 
 def subsample_study(dataset, n_values, passes: int = 30, seed: int = 0,
-                    out_path: str | None = None, m_rule: str = "n") -> list[dict]:
+                    out_path: str | None = None) -> list[dict]:
     """For each subsample size run the loopless optimizer twice: once with the
     n-independent step 0.5/L, once with the n-dependent step at the quadratic
     maximum ~ 1/(L sqrt(m)); record the final squared gradient norms."""
@@ -366,7 +366,7 @@ def subsample_study(dataset, n_values, passes: int = 30, seed: int = 0,
     for n_sub in n_values:
         sub = data_mod.subsample(dataset, n_sub, seed=seed)
         model = LogisticModel(sub, lam=0.0)
-        m = n_sub if m_rule == "n" else max(1, math.isqrt(n_sub - 1) + 1)
+        m = n_sub
         for tag, eta in (
             ("n-independent", 0.5 / model.L),
             ("n-dependent", eta_max_nonconvex(m, model.L)),

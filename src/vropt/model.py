@@ -27,6 +27,8 @@ from scipy.special import expit
 from .data import SparseRow  # noqa: F401  (re-exported)
 from .errors import ConfigError, ContractError, NumericError
 
+_BLOCK = 512  # rows per block of the bulk (unmetered) gradient helpers
+
 
 class IfoCounter:
     """Mutable incremental-first-order-oracle call counter, one per run."""
@@ -41,14 +43,6 @@ class IfoCounter:
 
     def __repr__(self):
         return f"IfoCounter({self.count})"
-
-
-@dataclass(frozen=True)
-class SmoothnessConstants:
-    per_component: np.ndarray  # L_i
-    L: float                   # max_i L_i
-    L_bar: float               # mean_i L_i
-    mu: float                  # strong-convexity modulus (0 = none/unknown)
 
 
 def _check_x(x: np.ndarray, d: int) -> np.ndarray:
@@ -175,21 +169,13 @@ class _MarginModel:
         z = b * float(val @ x[idx])
         return _stable_log1pexp(z) + self._reg_value(x)
 
-    def smoothness_constants(self) -> SmoothnessConstants:
-        return SmoothnessConstants(
-            per_component=self.lipschitz.copy(),
-            L=self.L,
-            L_bar=self.L_bar,
-            mu=self.mu,
-        )
-
     # diagnostics helpers (bulk evaluation; not IFO-metered) -----------------
-    def full_gradient_batch(self, X: np.ndarray, block: int = 512) -> np.ndarray:
+    def full_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """grad F(x) for each row x of X, evaluated blockwise."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.empty_like(X)
-        for lo in range(0, X.shape[0], block):
-            chunk = X[lo:lo + block]
+        for lo in range(0, X.shape[0], _BLOCK):
+            chunk = X[lo:lo + _BLOCK]
             Z = self._b[:, None] * self._A.dot(chunk.T)
             coef = (-self._b[:, None] * expit(-Z)) / self.n
             G = np.asarray(self._AT.dot(coef)).T
@@ -197,12 +183,13 @@ class _MarginModel:
             out[lo:lo + chunk.shape[0]] = G
         return out
 
-    def grad_sq_norms(self, X: np.ndarray, block: int = 512) -> np.ndarray:
-        """||grad F(x)||^2 for each row x of X, evaluated blockwise."""
+    def grad_sq_norms(self, X: np.ndarray) -> np.ndarray:
+        """||grad F(x)||^2 for each row x of X, evaluated blockwise, so that
+        only one block of gradients is held at a time."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.empty(X.shape[0])
-        for lo in range(0, X.shape[0], block):
-            G = self.full_gradient_batch(X[lo:lo + block], block=block)
+        for lo in range(0, X.shape[0], _BLOCK):
+            G = self.full_gradient_batch(X[lo:lo + _BLOCK])
             out[lo:lo + G.shape[0]] = np.einsum("ij,ij->i", G, G)
         return out
 

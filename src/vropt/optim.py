@@ -80,8 +80,6 @@ from .sampling import (
 
 ALGORITHMS = ("GD", "SGD", "SVRG", "SARAH", "SARAH-LI", "L2S", "L2S-SC", "D2S")
 _OUTER_LOOPS = {"SVRG", "SARAH", "SARAH-LI", "D2S"}
-_OUTPUT_RULES = {a: "uniform-random-iterate" if a in ("SARAH", "L2S", "D2S")
-                 else "last-iterate" for a in ALGORITHMS}
 
 _DIVERGE_SQ = 1e24  # ||x||^2 guard, i.e. ||x|| > 1e12
 _DESCENT_RTOL = 1e-12
@@ -97,7 +95,6 @@ class OptimizerConfig:
     T: int | None = None
     S: int | None = None
     seed: int = 0
-    output_rule: str = "auto"
     step_back: bool = True                      # L2S-SC rollback at snapshots
     eta_schedule: Optional[Callable[[int], float]] = None  # pass index -> eta
     x0: np.ndarray | None = None                # default: origin
@@ -132,9 +129,6 @@ def validate_config(config: OptimizerConfig) -> None:
         raise ConfigError(f"{algo} requires m >= 1")
     if algo == "SVRG" and config.m < 1:
         raise ConfigError("SVRG requires m >= 1")
-    rule = config.output_rule
-    if rule != "auto" and rule != _OUTPUT_RULES[algo]:
-        raise ConfigError(f"{algo} uses output rule {_OUTPUT_RULES[algo]!r}")
     if config.max_ifo is not None and config.max_ifo < 0:
         raise ConfigError("max_ifo must be >= 0")
     if config.eta_schedule is not None and algo not in ("GD", "SGD"):
@@ -168,8 +162,8 @@ class RunResult:
     indices: np.ndarray | None = None    # realized i_t (when iterates recorded)
     iterates: np.ndarray | None = None   # (T+1, d) when recorded
     snapshot_grads: list = field(default_factory=list)  # v at snapshots (when recorded)
-    snapshot_points: list = field(default_factory=list)  # x at snapshots (when recorded)
-    restart_points: list = field(default_factory=list)  # x~ per outer loop
+    # x at snapshots (when recorded): x_0, then each restart point x~
+    snapshot_points: list = field(default_factory=list)
     stopped_early: bool = False
     reached_grad_target: bool = False
     inner_step: str = "dense"            # "sparse": lazy O(nnz) recursion
@@ -227,7 +221,7 @@ class _Run:
         if self._rec_step is not None and self._rec_step < 1:
             raise ConfigError("record cadence below one IFO call")
         self._next_thresh = self._last_t = 0
-        self._rows, self.snapshot_iters, self.restart_points = [], [], []
+        self._rows, self.snapshot_iters = [], []
         self.snapshot_grads, self.snapshot_points = [], []
         rec = config.record_iterates
         self.iterates = _Log((model.d,), np.float64) if rec else None
@@ -310,7 +304,6 @@ class _Run:
             iterates=None if self.iterates is None else self.iterates.array(),
             snapshot_grads=self.snapshot_grads,
             snapshot_points=self.snapshot_points,
-            restart_points=self.restart_points,
             stopped_early=self.stopped,
             reached_grad_target=self.hit_target,
             inner_step=inner_step,
@@ -531,7 +524,8 @@ class _Segments:
     IFO count, the divergence guard and the index and iterate logs, and
     returns the loop position; the Python loop then takes the event's pass.
     The state is copied in per segment, as Python may hold on to the
-    estimator's arrays (x_a, restart points)."""
+    estimator's arrays (x_a, which is also the next outer loop's snapshot
+    point, and the output)."""
 
     # the estimator arrays behind vr_seg's cur, prev and v, by est.code
     _STATE = {0: ("cur",), 1: ("cur", "anchor", "mu"), 2: ("cur", "prev", "v")}
@@ -700,8 +694,6 @@ def run(model, config: OptimizerConfig) -> RunResult:
             v = model.full_gradient(x, st.counter)
             st.note_snapshot(updates, v, x)
             snaps += 1
-            if outer:
-                st.restart_points.append(x)
             if st.hit_target:
                 x_out = x  # the certified point
                 break

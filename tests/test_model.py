@@ -147,8 +147,7 @@ class TestObjective:
 class TestSmoothness:
     def test_single_row(self):
         model = LogisticModel(single_row_dataset([2.0, 0.0]), lam=0.0)
-        sc = model.smoothness_constants()
-        assert sc.L == pytest.approx(1.0, abs=0)  # ||a||^2/4 = 4/4
+        assert model.L == pytest.approx(1.0, abs=0)  # ||a||^2/4 = 4/4
 
     def test_logistic_constants(self, tiny_dataset):
         lam = 0.05
@@ -256,6 +255,26 @@ class TestBatchHelpers:
         norms = nonconvex_model.grad_sq_norms(X)
         for r in range(5):
             g = nonconvex_model.full_gradient(X[r])
+            assert norms[r] == pytest.approx(float(g @ g), rel=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["sc_model", "nonconvex_model"])
+    def test_batches_cross_block_boundaries(self, fixture, request):
+        # 1100 rows: two full blocks of 512 and a ragged one of 76; the three
+        # separate calls split the rows at other points
+        model = request.getfixturevalue(fixture)
+        rng = Rng(8)
+        X = np.array([[2 * rng.random() - 1 for _ in range(model.d)]
+                      for _ in range(1100)])
+        B = model.full_gradient_batch(X)
+        norms = model.grad_sq_norms(X)
+        parts = (X[:367], X[367:734], X[734:])
+        assert B.tobytes() == np.concatenate(
+            [model.full_gradient_batch(P) for P in parts]).tobytes()
+        assert norms.tobytes() == np.concatenate(
+            [model.grad_sq_norms(P) for P in parts]).tobytes()
+        for r in range(X.shape[0]):
+            g = model.full_gradient(X[r])
+            assert np.allclose(B[r], g, rtol=1e-13, atol=1e-15)
             assert norms[r] == pytest.approx(float(g @ g), rel=1e-12)
 
     def test_component_gradient_batch_matches(self, sc_model):

@@ -66,16 +66,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(OptimizerConfig("GD", eta=0.0, T=3))
 
-    def test_output_rule_mismatch(self):
-        with pytest.raises(ConfigError):
-            validate_config(OptimizerConfig(
-                "SARAH", eta=0.1, m=2, S=1,
-                output_rule="last-iterate"))
-        validate_config(OptimizerConfig(
-            "SARAH", eta=0.1, m=2, S=1,
-            output_rule="uniform-random-iterate"))
-
-
     @pytest.mark.parametrize("algo,extra", [
         ("SVRG", dict(m=2, S=1)), ("SARAH", dict(m=2, S=1)),
         ("SARAH-LI", dict(m=2, S=1)), ("D2S", dict(m=2, S=1)),
@@ -177,8 +167,8 @@ class TestSVRG:
     def test_geometric_decay_of_restart_gradients(self, sc200):
         res = run(sc200, OptimizerConfig(
             "SVRG", eta=0.2 / sc200.L, m=sc200.n, S=5, seed=3,
-            record_every_pass=None))
-        norms = sc200.grad_sq_norms(np.array(res.restart_points))
+            record_every_pass=None, record_iterates=True))
+        norms = sc200.grad_sq_norms(np.array(res.snapshot_points))
         assert np.all(norms[1:] / norms[:-1] < 1.0)
 
     def test_ifo_accounting(self, sc_model):
