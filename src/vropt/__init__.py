@@ -1,6 +1,7 @@
 """Variance-reduced stochastic optimization with randomized snapshot
 scheduling, importance sampling, and exact IFO accounting."""
 
+from . import _kernel
 from .data import Dataset, SyntheticSpec, generate_synthetic, parse_libsvm, subsample
 from .errors import (
     ConfigError,
@@ -39,6 +40,8 @@ from .sampling import (
     draw_uniform_index,
     snapshot_event_probability,
 )
+
+_kernel.load()  # compiles once per source hash; never raises
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,9 @@
-"""Build, cache and load the compiled inner-segment kernel (``_segment.c``).
+"""Build, cache and load the compiled kernel: the inner segments of
+``vropt.optim`` (``_segment.c``) and the set-up of ``vropt.data`` and
+``vropt.model`` (``_read.c``), declared in ``_segment.h``.
 
 The kernel is compiled with cffi's API mode and the system C compiler, once
-per hash of its source, declarations and flags and per Python ABI, into
+per hash of its sources (``SOURCES``) and flags and per Python ABI, into
 ``_kernel_cache/`` next to this file or, when that cannot be used, the
 per-user ``$XDG_CACHE_HOME/vropt`` (``~/.cache/vropt``).  The compiler runs
 in a child process, so building costs the importing process no memory, and
@@ -16,10 +18,11 @@ its error in the cache, and later imports take the Python loop without
 compiling again (delete the file to retry); a missing compiler is found
 before any child process starts.
 
-``load()`` runs at ``vropt.optim`` import and leaves ``lib`` and ``ffi``
-set, or ``None`` with the reason in ``status``.  The kernel is only loaded
-once its dot product has equalled numpy's ``a @ b`` on random vectors of
-lengths 1-130: every bit-identity claim of the compiled path rests on it.
+``load()`` runs at ``vropt`` import and leaves ``lib`` and ``ffi`` set, or
+``None`` with the reason in ``status``.  The kernel is only loaded once its
+dot product has equalled numpy's ``a @ b`` on random vectors of lengths
+1-130 and its LIBSVM reader has read a list of hard decimals as ``float()``
+does: every bit-identity claim of the compiled paths rests on these.
 """
 
 from __future__ import annotations
@@ -39,22 +42,24 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
-SOURCE, HEADER = HERE / "_segment.c", HERE / "_segment.h"
+# the declarations, the main source and the other sources: what a build
+# compiles and what names its module
+SOURCES = (HERE / "_segment.h", HERE / "_segment.c", HERE / "_read.c")
 CFLAGS = ("-O2", "-ffp-contract=off")
 # numpy's ddot, by the names its BLAS builds export (ILP64 ones end in 64_)
 _DDOT_NAMES = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot",
                "cblas_ddot")
 
-# run as ``python -c _BUILD name source_dir cache_dir *CFLAGS``
+# run as ``python -c _BUILD name cache_dir "CFLAGS" *SOURCES``
 _BUILD = r"""
 import os, shutil, sys, tempfile
 import cffi
-name, src, cache = sys.argv[1:4]
-read = lambda f: open(os.path.join(src, f)).read()
+name, cache, flags, header, main, *others = sys.argv[1:]
 ffi = cffi.FFI()
-ffi.cdef(read("_segment.h"))
-ffi.set_source(name, read("_segment.c"), include_dirs=[src],
-               libraries=["m"], extra_compile_args=sys.argv[4:])
+ffi.cdef(open(header).read())
+ffi.set_source(name, open(main).read(), sources=others,
+               include_dirs=[os.path.dirname(header)], libraries=["m"],
+               extra_compile_args=flags.split())
 tmp = tempfile.mkdtemp(dir=cache, prefix=".build-")
 try:
     built = ffi.compile(tmpdir=tmp)
@@ -70,9 +75,9 @@ status = "not loaded"
 
 def module_name() -> str:
     h = hashlib.sha256()
-    for part in (HEADER.read_bytes(), SOURCE.read_bytes(),
-                 " ".join(CFLAGS).encode()):
-        h.update(part)
+    for path in SOURCES:
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    h.update(" ".join(CFLAGS).encode())
     return "_vropt_segment_" + h.hexdigest()[:16]
 
 
@@ -112,8 +117,8 @@ def build(name: str, cache: Path) -> None:
         raise RuntimeError("no C compiler found")
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", _BUILD, name, str(HERE), str(cache),
-             *CFLAGS], capture_output=True, text=True, timeout=300)
+            [sys.executable, "-c", _BUILD, name, str(cache), " ".join(CFLAGS),
+             *map(str, SOURCES)], capture_output=True, text=True, timeout=300)
     except subprocess.TimeoutExpired:
         error = "compile timed out after 300 s"
     else:
@@ -141,13 +146,76 @@ def _numpy_ddot():
     raise LookupError("numpy exposes no cblas ddot")
 
 
-def _self_test(ffi, lib) -> bool:
+def read_block(block: bytes):
+    """``vropt.data._parse_block(block, 0)``'s tuple (labels, nonzeros per
+    row, 0-based indices, values, line breaks) as the kernel reads it, or
+    None when no kernel is loaded or the block is outside its grammar."""
+    if lib is None:
+        return None
+    chars = np.frombuffer(block, np.uint8)  # counted faster than by bytes
+    rows = np.count_nonzero(chars == 10) + 1
+    nnz = np.count_nonzero(chars == 58)
+    labels, counts = np.empty(rows), np.empty(rows, np.int64)
+    indices, values = np.empty(nnz, np.int64), np.empty(nnz)
+    arrays = [ffi.from_buffer(kind, a) for kind, a in (
+        ("double[]", labels), ("int64_t[]", counts),
+        ("int64_t[]", indices), ("double[]", values))]
+    b = ffi.new("vr_block *", [rows, nnz, *arrays])
+    if not lib.vr_read_block(ffi.from_buffer(block), len(block), b):
+        return None
+    return (labels[:b.rows], counts[:b.rows], indices[:b.nnz],
+            values[:b.nnz], b.breaks)
+
+
+def row_sq_norms(indptr, values):
+    """||a_i||^2 per CSR row, one numpy ddot per row (as ``vals @ vals``),
+    or None when no kernel is loaded."""
+    if lib is None:
+        return None
+    indptr = np.ascontiguousarray(indptr, np.int64)
+    values = np.ascontiguousarray(values, np.float64)
+    if (indptr.ndim != 1 or not indptr.size or indptr[0] != 0
+            or indptr[-1] != values.size or np.any(indptr[1:] < indptr[:-1])):
+        raise ValueError("indptr must rise from 0 to the number of values")
+    out = np.empty(indptr.size - 1)
+    lib.vr_row_sq_norms(out.size, ffi.from_buffer("int64_t[]", indptr),
+                        ffi.from_buffer("double[]", values),
+                        ffi.from_buffer("double[]", out))
+    return out
+
+
+# decimals that a reader which does not round correctly gets wrong: ties
+# and near-ties at 2^53 and 1 + 2^-53, 17-digit mantissas, the edges of the
+# normal range and exact powers of ten at the fast path's bounds
+HARD_DECIMALS = (
+    "9007199254740993", "9007199254740995", "9007199254740992e22",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "0.1", "0.30000000000000004", "0.12345678901234568",
+    "7.2057594037927933e16", "123456789012345678", "1e23", "1e22", "1e-22",
+    "8.98846567431158e307", "1.7976931348623157e308",
+    "2.2250738585072011e-308", "2.2250738585072014e-308", "-0.0", "-0",
+    "+1.5E+3", "4.35679e-10",
+)
+
+
+def _self_test() -> bool:
     rng = np.random.default_rng(20190606)
     for n in range(1, 131):
         a, b = rng.standard_normal(n), rng.standard_normal(n)
         got = lib.vr_dot(n, ffi.from_buffer("double[]", a),
                          ffi.from_buffer("double[]", b))
         if got != float(a @ b):
+            return False
+    for text in HARD_DECIMALS:
+        # as label and value, and as the last token of a block (which the
+        # reader copies before strtod reads it)
+        got = read_block(f"{text} 1:{text}\n{text}".encode())
+        value = float(text)
+        labels, values = np.array([value, value]), np.array([value][:value != 0])
+        if got is not None and (got[0].tobytes() != labels.tobytes()
+                                or got[3].tobytes() != values.tobytes()):
             return False
     return True
 
@@ -186,10 +254,12 @@ def load(dirs=None, compile_fn=None):
         except Exception as exc:  # no compiler, unsafe cache, ...
             errors.append(f"{cache}: {exc}")
             continue
-        if not _self_test(mod.ffi, mod.lib):
-            status = "unavailable: kernel dot differs from numpy's"
+        ffi, lib = mod.ffi, mod.lib
+        if not _self_test():
+            lib = ffi = None
+            status = "unavailable: kernel dot or reader differs from numpy's"
             return None
-        ffi, lib, status = mod.ffi, mod.lib, f"loaded from {path}"
+        status = f"loaded from {path}"
         return lib
     status = "build failed: " + "; ".join(errors)
     return None

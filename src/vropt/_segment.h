@@ -1,5 +1,6 @@
-/* Declarations of the compiled inner-segment kernel, read both by the C
-   compiler and by cffi (so: no preprocessor lines but integer defines). */
+/* Declarations of the compiled kernel (_segment.c: inner segments, _read.c:
+   set-up), read both by the C compiler and by cffi (so: no preprocessor
+   lines but integer defines). */
 
 /* why vr_segment stopped; every reason but VR_HORIZON, VR_FULL and
    VR_DIVERGED leaves the next pass, undrawn, to the Python loop */
@@ -47,3 +48,17 @@ void vr_set_ddot(void *fn, int int64_args);
 double vr_dot(int64_t n, const double *a, const double *b);
 void vr_below_block(uint64_t *rng, int64_t n, int64_t size, int64_t *out);
 void vr_table_block(vr_seg *s, int64_t size, int64_t *out);
+
+/* a LIBSVM text block read by vr_read_block (see _read.c) */
+typedef struct {
+    int64_t max_rows, max_nnz;          /* room in the arrays below */
+    double *labels;                     /* per row */
+    int64_t *counts;                    /* nonzeros per row */
+    int64_t *indices;                   /* per nonzero, 0-based */
+    double *values;
+    int64_t rows, nnz, breaks;          /* filled in when the block is read */
+} vr_block;
+
+int vr_read_block(const char *text, int64_t size, vr_block *b);
+void vr_row_sq_norms(int64_t n, const int64_t *indptr, const double *values,
+                     double *out);

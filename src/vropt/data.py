@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConfigError, ContractError, ParseError
 from .sampling import Rng
 
@@ -110,10 +111,15 @@ class Dataset:
 
     @property
     def rows(self) -> tuple:
-        """The rows as SparseRow objects over views of the arrays."""
-        ptr = self.indptr.tolist()
-        return tuple(SparseRow(self.indices[lo:hi], self.values[lo:hi], label)
-                     for lo, hi, label in zip(ptr, ptr[1:], self.y.tolist()))
+        """The rows as SparseRow objects over views of the arrays, which
+        were checked in bulk, so the rows are not checked again."""
+        ptr, rows = self.indptr.tolist(), []
+        for lo, hi, label in zip(ptr, ptr[1:], self.y.tolist()):
+            row = object.__new__(SparseRow)  # without __post_init__'s check
+            row.__dict__.update(indices=self.indices[lo:hi],
+                                values=self.values[lo:hi], label=label)
+            rows.append(row)
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -245,9 +251,16 @@ def parse_libsvm(source, d: int | None = None, name: str = "unnamed") -> Dataset
     to -1/+1 (0 -> -1, and for {1,2} files 2 -> -1).  Explicit zero values
     are dropped (they carry no information and sparse rows store nonzeros
     only).  The dimension is max(declared d, largest index + 1).  Malformed
-    input raises ParseError naming the first offending line.  Whole lines
-    are tokenised and converted in bulk, block by block; numbers follow
+    input raises ParseError naming the first offending line.  Numbers follow
     float()'s and int()'s rules, and contain no non-ASCII character.
+
+    The text is read in blocks of whole lines, about _BLOCK characters
+    each.  The compiled kernel reads a block when the block keeps to a
+    strict subset of the format ("\n" line ends, tokens separated by
+    spaces, plain-digit indices, decimal numbers; see ``_read.c``); any
+    other block, and every block when no kernel is loaded, is tokenised and
+    converted in bulk by numpy (``_parse_block``), which is also what names
+    the errors.  Both give the same arrays, bit for bit.
     """
     text = source if isinstance(source, (str, bytes)) else source.read()
     newline = "\n" if isinstance(text, str) else b"\n"
@@ -257,7 +270,7 @@ def parse_libsvm(source, d: int | None = None, name: str = "unnamed") -> Dataset
         block = text[lo:hi]
         if isinstance(block, str):
             block = block.encode("ascii", "replace")
-        *part, breaks = _parse_block(block, lines)
+        *part, breaks = _kernel.read_block(block) or _parse_block(block, lines)
         parts.append(part)
         lines, lo = lines + breaks, hi
     labels, counts, indices, values = (

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from . import _kernel
 from .data import SparseRow  # noqa: F401  (re-exported)
 from .errors import ConfigError, ContractError, NumericError
 
@@ -93,11 +94,14 @@ class _MarginModel:
         # indexing a memoryview gives a Python number, faster than numpy's
         self._bounds, self._labels = memoryview(dataset.indptr), memoryview(dataset.y)
         self._AT = self._A.T.tocsr()  # cached: building A.T per call is costly
-        # one BLAS dot per row, as SparseRow.sq_norm: a vectorised sum rounds
-        # differently in the last bit, and L sets every step size
-        ptr, vals = dataset.indptr.tolist(), dataset.values
-        self.row_sq_norms = np.array(
-            [vals[lo:hi] @ vals[lo:hi] for lo, hi in zip(ptr, ptr[1:])])
+        # one BLAS dot per row, as SparseRow.sq_norm (the kernel calls the
+        # same ddot): a vectorised sum rounds differently in the last bit,
+        # and L sets every step size
+        self.row_sq_norms = _kernel.row_sq_norms(dataset.indptr, dataset.values)
+        if self.row_sq_norms is None:
+            ptr, vals = dataset.indptr.tolist(), dataset.values
+            self.row_sq_norms = np.array(
+                [vals[lo:hi] @ vals[lo:hi] for lo, hi in zip(ptr, ptr[1:])])
         self.lipschitz = self.row_sq_norms / 4.0 + reg_smoothness
         self.L = float(self.lipschitz.max())
         self.L_bar = float(self.lipschitz.mean())

@@ -84,8 +84,6 @@ _OUTER_LOOPS = {"SVRG", "SARAH", "SARAH-LI", "D2S"}
 _DIVERGE_SQ = 1e24  # ||x||^2 guard, i.e. ||x|| > 1e12
 _DESCENT_RTOL = 1e-12
 
-_kernel.load()  # compiles once per source hash; never raises
-
 
 @dataclass(frozen=True, eq=False)
 class OptimizerConfig:

@@ -1,9 +1,20 @@
 import pytest
 
+from vropt import _kernel
 from vropt.data import SyntheticSpec, generate_synthetic
 from vropt.model import LogisticModel, NonconvexLogisticModel
 
 from helpers import make_homogeneous_dataset, make_sparse_dataset
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Hide the compiled kernel for one test, as when cffi or a compiler is
+    missing: the code under test takes its Python path.  Whatever the test
+    loads into ``vropt._kernel`` is put back afterwards."""
+    for name in ("lib", "ffi", "status"):
+        monkeypatch.setattr(_kernel, name, getattr(_kernel, name))
+    monkeypatch.setattr(_kernel, "lib", None)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vropt import data as data_mod
@@ -89,8 +89,8 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             parse_libsvm("\n\n")
 
-    @pytest.mark.parametrize("block, chunk", [(None, None), (5, 3)])
-    @pytest.mark.parametrize("text, line_no", [
+    BLOCKS = pytest.mark.parametrize("block, chunk", [(None, None), (5, 3)])
+    MALFORMED = pytest.mark.parametrize("text, line_no", [
         ("+1 1:1\nnot_a_label 1:1\n", 2),       # bad label
         ("+1 1:1\n\n-1 2:1 3\n", 3),            # bad feature token
         ("+1 1:1\r\n-1 2:1\r\n+1 0:1\r\n", 3),  # index < 1
@@ -100,6 +100,9 @@ class TestParseLibsvm:
         ("3 1:1\n", None),                       # unsupported label set
         ("\n \n", None),                         # no data lines
     ])
+
+    @BLOCKS
+    @MALFORMED
     def test_malformed_input_names_its_line(self, monkeypatch, text, line_no,
                                             block, chunk):
         # small blocks and chunks split the text and its numbers the way a
@@ -111,16 +114,26 @@ class TestParseLibsvm:
             parse_libsvm(text)
         assert err.value.line_no == line_no
 
+    @BLOCKS
+    @MALFORMED
+    def test_malformed_input_names_its_line_without_kernel(
+            self, no_kernel, monkeypatch, text, line_no, block, chunk):
+        self.test_malformed_input_names_its_line(monkeypatch, text, line_no,
+                                                 block, chunk)
+
+    ROWS = dict(
+        rows=st.lists(st.tuples(
+            st.booleans(),
+            st.dictionaries(st.integers(1, 40),
+                            st.one_of(st.just(0.0), st.floats(
+                                allow_nan=False, allow_infinity=False)),
+                            max_size=6)),
+            min_size=1, max_size=8),
+        convention=st.sampled_from([("+1", "-1"), ("1", "0"), ("1", "2")]),
+        small_blocks=st.booleans())
+
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.tuples(
-               st.booleans(),
-               st.dictionaries(st.integers(1, 40),
-                               st.one_of(st.just(0.0), st.floats(
-                                   allow_nan=False, allow_infinity=False)),
-                               max_size=6)),
-           min_size=1, max_size=8),
-           convention=st.sampled_from([("+1", "-1"), ("1", "0"), ("1", "2")]),
-           small_blocks=st.booleans())
+    @given(**ROWS)
     def test_random_rows_round_trip(self, rows, convention, small_blocks):
         def line(positive, feats, labels):
             return " ".join([labels[0] if positive else labels[1]]
@@ -135,6 +148,15 @@ class TestParseLibsvm:
             ds = parse_libsvm(text)
         assert write_libsvm(ds) == written
         assert datasets_equal(parse_libsvm(written, d=ds.d), ds)
+
+    # no_kernel's state is the same for every example
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**ROWS)
+    def test_random_rows_round_trip_without_kernel(
+            self, no_kernel, rows, convention, small_blocks):
+        self.test_random_rows_round_trip.hypothesis.inner_test(
+            self, rows, convention, small_blocks)
 
     @pytest.mark.parametrize("name",
                              ["tiny_pm1.libsvm", "tiny_01.libsvm",
@@ -225,6 +247,30 @@ class TestDataset:
     def test_sparse_row_enforces_the_same_contract(self):
         with pytest.raises(ContractError):
             SparseRow(indices=np.array([2, 2]), values=np.ones(2), label=1.0)
+
+    def test_rows_equal_checked_rows(self, tiny_dataset):
+        """Dataset.rows skips the per-row check, and gives the rows that the
+        checking constructor gives."""
+        for ds in (Dataset(**self.VALID, d=4), tiny_dataset):
+            ptr = ds.indptr.tolist()
+            checked = [SparseRow(ds.indices[lo:hi], ds.values[lo:hi], label)
+                       for lo, hi, label in zip(ptr, ptr[1:], ds.y.tolist())]
+            rows = ds.rows
+            assert len(rows) == len(checked) == ds.n
+            for row, want in zip(rows, checked):
+                assert type(row) is SparseRow
+                for got, ref in ((row.indices, want.indices),
+                                 (row.values, want.values)):
+                    assert got.dtype == ref.dtype and not got.flags.writeable
+                    assert got.tobytes() == ref.tobytes()
+                assert type(row.label) is float and row.label == want.label
+                assert row.sq_norm() == want.sq_norm()
+        for bad in (dict(indices=[3, 1], values=[1.0, 2.0]),
+                    dict(indices=[-1], values=[1.0]),
+                    dict(indices=[1], values=[0.0]),
+                    dict(indices=[1, 2], values=[1.0])):
+            with pytest.raises(ContractError):
+                SparseRow(**bad, label=1.0)
 
 
 class TestGenerateSynthetic:

@@ -1,0 +1,269 @@
+"""The compiled set-up kernel (``_read.c``) against the numpy reference it
+stands in for: the LIBSVM block reader gives ``_parse_block``'s arrays bit
+for bit on every block it takes and declines every other, so
+``parse_libsvm`` gives the same Dataset or the same ParseError with and
+without the kernel; and the row norms equal the per-row ``vals @ vals``."""
+
+import json
+import locale
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vropt import _kernel
+from vropt.data import Dataset, _parse_block, parse_libsvm
+from vropt.errors import ParseError
+from vropt.model import LogisticModel, NonconvexLogisticModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import rcv1gen  # noqa: E402
+
+CORPUS = Path(__file__).parent / "fixtures" / "reader_mutations.json"
+CANARY = rcv1gen.Rcv1Shape(n=1000, d=2000)  # sarah-sparse's canary shape
+
+needs_kernel = pytest.mark.skipif(
+    _kernel.lib is None, reason=f"compiled kernel: {_kernel.status}")
+
+
+def same(a, b) -> bool:
+    """Equal tuples of arrays and numbers, dtypes and bytes included."""
+    return len(a) == len(b) and all(
+        np.asarray(x).dtype == np.asarray(y).dtype
+        and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for x, y in zip(a, b))
+
+
+def reference(block: bytes):
+    """_parse_block's tuple, or its ParseError as (message, line)."""
+    try:
+        return _parse_block(block, 0)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
+def outcome(source):
+    """parse_libsvm's Dataset as its arrays, or its ParseError."""
+    try:
+        ds = parse_libsvm(source)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line_no
+    return ds.indptr, ds.indices, ds.values, ds.y, ds.d
+
+
+def both_readers(request, fn):
+    """fn() with the kernel as loaded, then with it hidden."""
+    compiled = fn()
+    request.getfixturevalue("no_kernel")
+    return compiled, fn()
+
+
+def check_block(block: bytes):
+    """The reader's tuple equals the reference's when it takes the block;
+    returns whether it did."""
+    got = _kernel.read_block(block)
+    if got is not None:
+        want = reference(block)
+        assert isinstance(want[0], np.ndarray), (block, want)
+        assert same(got, want), block
+    return got is not None
+
+
+# -- the reader ----------------------------------------------------------
+
+@needs_kernel
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rcv1_text_reads_bit_identically(request, seed):
+    text = rcv1gen.generate_text(seed, CANARY)
+    assert check_block(text.encode())
+    compiled, numpy = both_readers(
+        request, lambda: outcome(text))
+    assert same(compiled, numpy)
+
+
+@needs_kernel
+@pytest.mark.parametrize("block, taken", [
+    (b"+1 1:0.5 3:-2\n-1 2:1e5\n", True),
+    (b"  1   1:1  \n\n \n", True),       # runs of spaces, blank lines
+    (b"1 01:1 002:2\n", True),           # leading zeros in an index
+    (b"1 1:0 2:-0.0 3:0e999\n", True),   # explicit zeros, dropped
+    (b"1\n-1\n", True),                  # rows without features
+    (b"1 1:1.5", True),                  # no final line break
+    (b"1 1:0.12345678901234567", True),  # ... and a number strtod reads
+    (b"1 1:1\r\n", False),
+    (b"\r1 1:1\n", False),             # a lone \r is a line break there
+    (b"1 1:1\n\r\n-1 2:1\n", False),
+    (b"1\t1:1\n", False),
+    (b"1 0:1\n", False),                 # index < 1
+    (b"1 2:1 2:1\n", False),             # indices not rising
+    (b"1 3:1 2:1\n", False),
+    (b"1 +1:1\n", False),
+    (b"1 1234567890123456789:1\n", False),  # 19 index digits
+    (b"1 1:.5\n", False),
+    (b"1 1:5.\n", False),
+    (b"1 1:1e\n", False),
+    (b"1 1:1e+\n", False),
+    (b"1 1:0x10\n", False),
+    (b"1 1:nan\n", False),
+    (b"1 1:inf\n", False),
+    (b"1 1:1e999\n", False),             # overflows
+    (b"1 1:1e-400\n", False),            # underflows
+    (b"1 1:4.9e-324\n", False),          # subnormal
+    (b"1 1:1_0\n", False),
+    (b"1 1:1:1\n", False),
+    (b"1 1\n", False),
+    (b"1:1\n", False),
+    (b"- 1:1\n", False),
+    (b"1 1:\n", False),
+    (b"1 1:2 #\n", False),
+    (b"1 1:\xff\n", False),
+    (b"1 1:1\x00\n", False),
+])
+def test_grammar(request, block, taken):
+    """The reader takes exactly its grammar; on the rest parse_libsvm gives
+    the numpy reader's Dataset or ParseError."""
+    assert check_block(block) == taken
+    compiled, numpy = both_readers(request, lambda: outcome(block))
+    assert same(compiled, numpy)
+
+
+@needs_kernel
+def test_mutation_corpus(request):
+    """Random byte edits of valid text: each block the reader takes, it
+    reads as the reference does, and parse_libsvm gives the same Dataset or
+    the same ParseError (message and line) with and without the kernel."""
+    corpus = [text.encode("latin-1") for text in json.loads(CORPUS.read_text())]
+    taken = sum(check_block(block) for block in corpus)
+    assert 0 < taken < len(corpus)  # the corpus exercises both paths
+    compiled, numpy = both_readers(
+        request, lambda: [outcome(block) for block in corpus])
+    for block, a, b in zip(corpus, compiled, numpy):
+        assert same(a, b), block
+
+
+NUMBER = r"[+-]?[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,3})?"
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(numbers=st.lists(st.from_regex(NUMBER, fullmatch=True), min_size=2,
+                        max_size=5),
+       doubles=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        max_size=3))
+def test_numbers_read_as_float(numbers, doubles):
+    """Decimals of the grammar, and every double's repr, read as float()
+    reads them; the reader declines only out of the normal range."""
+    numbers += [repr(v) for v in doubles]
+    label, *values = numbers
+    block = " ".join([label] + [f"{k}:{v}" for k, v in
+                                enumerate(values, start=1)]).encode() + b"\n"
+    taken = check_block(block)
+    assert taken or not all(map(_normal_or_zero, numbers))
+
+
+def _normal_or_zero(text: str) -> bool:
+    """Whether ``text`` is far inside the normal range, or all its mantissa
+    digits are zeros: strtod reads those without ERANGE."""
+    mantissa = re.split("[eE]", text)[0]
+    return (1e-300 < abs(float(text)) < 1e300
+            or set(mantissa.lstrip("+-").replace(".", "")) == {"0"})
+
+
+@needs_kernel
+def test_hard_decimals_are_read():
+    """Each of the self-test's decimals is read, and read exactly, except
+    the subnormal one, which strtod flags with ERANGE."""
+    for text in _kernel.HARD_DECIMALS:
+        block = f"{text} 1:{text}\n{text}".encode()
+        assert check_block(block) == (text != "2.2250738585072011e-308")
+
+
+@needs_kernel
+def test_comma_decimal_locale_falls_back(request):
+    """Under an LC_NUMERIC whose decimal point is ',', strtod stops at '.'
+    and the reader declines every number it would pass to strtod; the
+    exact ones it reads itself.  Needs such a locale installed."""
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
+                 "nl_NL.UTF-8", "ru_RU.UTF-8"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        if locale.localeconv()["decimal_point"] == ",":
+            break
+        locale.setlocale(locale.LC_NUMERIC, saved)
+    else:
+        pytest.skip("no locale with a ',' decimal point is installed")
+    try:
+        assert _kernel.read_block(b"1 1:0.12345678901234567\n") is None
+        assert check_block(b"1 1:0.5\n")
+        text = rcv1gen.generate_text(3, rcv1gen.Rcv1Shape(n=50, d=200))
+        compiled, numpy = both_readers(request, lambda: outcome(text))
+        assert same(compiled, numpy)
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+
+
+@needs_kernel
+def test_self_test_refuses_a_reader_off_by_one_ulp(monkeypatch):
+    assert _kernel._self_test()
+    read = _kernel.read_block
+
+    def off(block):
+        got = read(block)
+        if got is not None:
+            got[3][:] = np.nextafter(got[3], np.inf)
+        return got
+    monkeypatch.setattr(_kernel, "read_block", off)
+    assert not _kernel._self_test()
+
+
+# -- row norms -----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def row_norm_datasets():
+    text = rcv1gen.generate_text(0, CANARY)
+    return {
+        "rcv1-shaped": parse_libsvm(text, d=CANARY.d),
+        "empty rows": Dataset([0, 0, 2, 2, 3, 3], [1, 4, 0], [0.5, -3.0, 2.0],
+                              [1.0, -1.0, 1.0, 1.0, -1.0], d=5),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "hidden"])
+@pytest.mark.parametrize("name", ["rcv1-shaped", "empty rows", "tiny"])
+def test_row_norms_are_per_row_dots(request, row_norm_datasets, tiny_dataset,
+                                    kernel, name):
+    """row_sq_norms, L and L_bar are the per-row ``vals @ vals`` and what
+    follows from them, bit for bit, with the kernel and without."""
+    ds = tiny_dataset if name == "tiny" else row_norm_datasets[name]
+    if kernel == "hidden":
+        request.getfixturevalue("no_kernel")
+    ptr = ds.indptr.tolist()
+    norms = np.array([ds.values[lo:hi] @ ds.values[lo:hi]
+                      for lo, hi in zip(ptr, ptr[1:])])
+    for model, reg in ((LogisticModel(ds, lam=0.1), 0.1),
+                       (NonconvexLogisticModel(ds, alpha=0.5), 1.0)):
+        assert model.row_sq_norms.tobytes() == norms.tobytes()
+        lipschitz = norms / 4.0 + reg
+        assert model.L == float(lipschitz.max())
+        assert model.L_bar == float(lipschitz.mean())
+
+
+@needs_kernel
+@pytest.mark.parametrize("indptr, values", [
+    ([0, 3], [1.0, 2.0]),        # past the end of values
+    ([1, 2], [1.0, 2.0]),        # not from 0
+    ([0, 2, 1, 2], [1.0, 2.0]),  # falling
+    ([], []),
+])
+def test_row_norms_refuse_bad_bounds(indptr, values):
+    """The kernel reads values[indptr[i]:indptr[i+1]], so the bounds are
+    checked before any pointer is passed."""
+    with pytest.raises(ValueError):
+        _kernel.row_sq_norms(indptr, values)

@@ -236,20 +236,18 @@ def _all_algorithms(model):
     return out
 
 
-@pytest.fixture
-def restore_kernel(monkeypatch):
-    for name in ("lib", "ffi", "status"):
-        monkeypatch.setattr(_kernel, name, getattr(_kernel, name))
+@pytest.fixture(scope="module")
+def reference_runs(models):
+    """Every algorithm on the dense model, with the kernel as loaded (module
+    scope: set up before ``no_kernel`` hides it)."""
+    return _all_algorithms(models["dense"])
 
 
 @pytest.mark.parametrize("cause", ["unavailable", "build failed"])
-def test_fallback_runs_python_path(models, restore_kernel, monkeypatch,
+def test_fallback_runs_python_path(models, reference_runs, no_kernel,
                                    tmp_path, cause):
-    model = models["dense"]
-    reference = _all_algorithms(model)
-    if cause == "unavailable":
-        monkeypatch.setattr(_kernel, "lib", None)
-    else:
+    model, reference = models["dense"], reference_runs
+    if cause == "build failed":
         pytest.importorskip("cffi")  # without it the loader stops earlier
 
         def no_compiler(name, cache):
@@ -298,6 +296,42 @@ def test_concurrent_builds_share_one_cache(tmp_path):
     assert names[0].endswith(".so")
 
 
+def test_module_name_covers_every_source(monkeypatch, tmp_path):
+    """Editing any source the build compiles names a new module, so a module
+    cached from older sources (one without the reader, say) never loads."""
+    copies = []
+    for path in _kernel.SOURCES:
+        copies.append(tmp_path / path.name)
+        shutil.copyfile(path, copies[-1])
+    monkeypatch.setattr(_kernel, "SOURCES", tuple(copies))
+    names = [_kernel.module_name()]
+    for path in copies:
+        path.write_bytes(path.read_bytes() + b"\n")
+        names.append(_kernel.module_name())
+    assert len(set(names)) == len(copies) + 1
+
+
+def test_build_compiles_every_source(monkeypatch, tmp_path):
+    """SOURCES, which names the module, is every C file of the package; the
+    package installs them all and the build is given all of them."""
+    assert set(_kernel.SOURCES) == set(_kernel.HERE.glob("*.[ch]"))
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    installed = project["tool"]["setuptools"]["package-data"]["vropt"]
+    assert {path.name for path in _kernel.SOURCES} <= set(installed)
+    commands = []
+
+    def run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 1, "", "not compiled")
+    monkeypatch.setattr(_kernel, "_compiler", lambda: "cc")
+    monkeypatch.setattr(_kernel.subprocess, "run", run)
+    with pytest.raises(RuntimeError, match="not compiled"):
+        _kernel.build(_kernel.module_name(), tmp_path)
+    assert commands[0][-len(_kernel.SOURCES):] == list(map(str, _kernel.SOURCES))
+
+
 def _built_module():
     """The loaded kernel's file, or a stand-in when no kernel is built: the
     checks below must refuse the file before anything loads it."""
@@ -308,7 +342,7 @@ def _built_module():
 @pytest.mark.parametrize("flaw", ["group-writable", "other-writable",
                                   "symlink", "foreign owner",
                                   "other-writable module"])
-def test_unsafe_cache_is_never_loaded(restore_kernel, tmp_path, flaw):
+def test_unsafe_cache_is_never_loaded(no_kernel, tmp_path, flaw):
     """A cache directory, or a module in it, that someone else could have
     written is refused before its module is loaded, also when it holds a
     module under the right name, and nothing is built there."""
@@ -353,14 +387,14 @@ def test_unsafe_cache_is_never_loaded(restore_kernel, tmp_path, flaw):
         assert _kernel.load([real], compile_fn=build) is not None
 
 
-def test_new_cache_directory_is_private(restore_kernel, tmp_path):
+def test_new_cache_directory_is_private(no_kernel, tmp_path):
     pytest.importorskip("cffi")
     cache = tmp_path / "a" / "cache"
     _kernel.load([cache], compile_fn=lambda name, cache: None)
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
-def test_failed_build_is_not_repeated(restore_kernel, monkeypatch, tmp_path):
+def test_failed_build_is_not_repeated(no_kernel, monkeypatch, tmp_path):
     """A compile that fails is recorded in the cache; the next load fails at
     once, without starting a process, until the record is deleted."""
     pytest.importorskip("cffi")
@@ -377,7 +411,7 @@ def test_failed_build_is_not_repeated(restore_kernel, monkeypatch, tmp_path):
     assert "earlier build failed" in _kernel.status
 
 
-def test_missing_compiler_starts_no_process(restore_kernel, monkeypatch,
+def test_missing_compiler_starts_no_process(no_kernel, monkeypatch,
                                             tmp_path):
     pytest.importorskip("cffi")
     monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
