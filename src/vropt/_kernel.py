@@ -1,6 +1,7 @@
 """Build, cache and load the compiled kernel: the inner segments of
-``vropt.optim`` (``_segment.c``) and the set-up of ``vropt.data`` and
-``vropt.model`` (``_read.c``), declared in ``_segment.h``.
+``vropt.optim`` (``_segment.c``), the set-up of ``vropt.data`` and
+``vropt.model`` (``_read.c``) and the products and sigmoid of the model's
+full and bulk oracles (``_oracle.c``), declared in ``_segment.h``.
 
 The kernel is compiled with cffi's API mode and the system C compiler, once
 per hash of its sources (``SOURCES``) and flags and per Python ABI, into
@@ -21,8 +22,10 @@ before any child process starts.
 ``load()`` runs at ``vropt`` import and leaves ``lib`` and ``ffi`` set, or
 ``None`` with the reason in ``status``.  The kernel is only loaded once its
 dot product has equalled numpy's ``a @ b`` on random vectors of lengths
-1-130 and its LIBSVM reader has read a list of hard decimals as ``float()``
-does: every bit-identity claim of the compiled paths rests on these.
+1-130, its LIBSVM reader has read a list of hard decimals as ``float()``
+does, its expit has equalled ``1 / (1 + math.exp(-t))`` on the edges of
+exp's range and its CSR products have equalled a plain loop's sums: every
+bit-identity claim of the compiled paths rests on these.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import importlib.util
+import math
 import os
 import shlex
 import shutil
@@ -38,13 +42,15 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
 # the declarations, the main source and the other sources: what a build
 # compiles and what names its module
-SOURCES = (HERE / "_segment.h", HERE / "_segment.c", HERE / "_read.c")
+SOURCES = (HERE / "_segment.h", HERE / "_segment.c", HERE / "_read.c",
+           HERE / "_oracle.c")
 CFLAGS = ("-O2", "-ffp-contract=off")
 # numpy's ddot, by the names its BLAS builds export (ILP64 ones end in 64_)
 _DDOT_NAMES = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot",
@@ -167,6 +173,12 @@ def read_block(block: bytes):
             values[:b.nnz], b.breaks)
 
 
+def _bounds_ok(indptr, size) -> bool:
+    """Whether ``indptr`` rises from 0 to ``size``, as a CSR matrix's does."""
+    return bool(indptr.ndim == 1 and indptr.size and indptr[0] == 0
+                and indptr[-1] == size and not np.any(indptr[1:] < indptr[:-1]))
+
+
 def row_sq_norms(indptr, values):
     """||a_i||^2 per CSR row, one numpy ddot per row (as ``vals @ vals``),
     or None when no kernel is loaded."""
@@ -174,13 +186,60 @@ def row_sq_norms(indptr, values):
         return None
     indptr = np.ascontiguousarray(indptr, np.int64)
     values = np.ascontiguousarray(values, np.float64)
-    if (indptr.ndim != 1 or not indptr.size or indptr[0] != 0
-            or indptr[-1] != values.size or np.any(indptr[1:] < indptr[:-1])):
+    if not _bounds_ok(indptr, values.size):
         raise ValueError("indptr must rise from 0 to the number of values")
     out = np.empty(indptr.size - 1)
     lib.vr_row_sq_norms(out.size, ffi.from_buffer("int64_t[]", indptr),
                         ffi.from_buffer("double[]", values),
                         ffi.from_buffer("double[]", out))
+    return out
+
+
+class CSRView:
+    """A CSR matrix ``a`` (``indptr``, ``indices``, ``data`` and ``shape``,
+    as scipy's csr_matrix has them) as the loaded kernel's products read
+    it.  Its bounds are checked once, here, since the kernel follows them;
+    ``ffi`` names the kernel the view was made for."""
+
+    def __init__(self, a):
+        n, d = self.shape = a.shape
+        indptr = np.ascontiguousarray(a.indptr, np.int64)
+        indices = np.ascontiguousarray(a.indices, np.int64)
+        values = np.ascontiguousarray(a.data, np.float64)
+        if not (indptr.size == n + 1 and _bounds_ok(indptr, values.size)
+                and indices.shape == values.shape
+                and (not indices.size or 0 <= indices.min() <= indices.max() < d)):
+            raise ValueError(f"not a CSR matrix of shape {a.shape}")
+        self.ffi = ffi
+        self._arrays = [ffi.from_buffer("int64_t[]", indptr),
+                        ffi.from_buffer("int64_t[]", indices),
+                        ffi.from_buffer("double[]", values)]  # kept alive
+        self._csr = ffi.new("vr_csr *", [n, d, *self._arrays])
+
+    def product(self, x, transpose=False):
+        """``a @ x``, or ``a.T @ x`` with ``transpose``, for ``x`` a vector or
+        a matrix of k columns, in the order of scipy's ``csr_matrix.dot``
+        (see ``_oracle.c``)."""
+        n, d = self.shape
+        x = np.ascontiguousarray(x, np.float64)
+        rows, cols = (d, n) if transpose else (n, d)
+        if x.ndim not in (1, 2) or x.shape[0] != cols:
+            raise ValueError(f"dimension mismatch: {x.shape} against {cols} "
+                             "columns")
+        out = np.empty((rows,) + x.shape[1:])
+        fn = lib.vr_csr_tdot if transpose else lib.vr_csr_dot
+        fn(self._csr, x.shape[1] if x.ndim == 2 else 1,
+           ffi.from_buffer("double[]", x), ffi.from_buffer("double[]", out))
+        return out
+
+
+def expit(t):
+    """1 / (1 + exp(-t)) elementwise, as scipy.special.expit computes it.
+    Needs the kernel loaded."""
+    t = np.ascontiguousarray(t, np.float64)
+    out = np.empty_like(t)
+    lib.vr_expit(t.size, ffi.from_buffer("double[]", t),
+                 ffi.from_buffer("double[]", out))
     return out
 
 
@@ -200,8 +259,55 @@ HARD_DECIMALS = (
 )
 
 
+# the signed zeros and where exp(-t) under- and overflows
+EXPIT_EDGES = (0.0, -0.0, 709.8, -709.8, 745.0, -745.0, 800.0, -800.0)
+
+
+def _expit_ok(rng) -> bool:
+    t = np.concatenate([EXPIT_EDGES, 40.0 * rng.standard_normal(1000)])
+    want = []
+    for v in t.tolist():
+        try:
+            want.append(1.0 / (1.0 + math.exp(-v)))
+        except OverflowError:  # exp(-v) is inf
+            want.append(0.0)
+    return expit(t).tobytes() == np.array(want).tobytes()
+
+
+def _products_ok(rng) -> bool:
+    """The CSR products against a plain loop's sums, on a 4 by 5 matrix with
+    an empty row, for 1, 2 and 5 vectors (5: a block of _oracle.c's LANES
+    and one more).  Row 2 and column 0 hold 2^53, 1 and -2^53 in orders
+    where a sum taken backwards gives 1 instead of 0, and the first vector
+    is all ones; the others are random."""
+    big = 2.0 ** 53
+    indptr, indices = [0, 2, 2, 5, 7], [0, 3, 0, 1, 4, 0, 2]
+    values = [1.0, rng.standard_normal(), big, 1.0, -big, -big,
+              rng.standard_normal()]
+    a = CSRView(SimpleNamespace(indptr=np.array(indptr), shape=(4, 5),
+                                indices=np.array(indices), data=np.array(values)))
+    for k in (1, 2, 5):
+        x, c = rng.standard_normal((5, k)), rng.standard_normal((4, k))
+        x[:, 0] = c[:, 0] = 1.0
+        y, g = np.zeros((4, k)).tolist(), np.zeros((5, k)).tolist()
+        for i in range(4):
+            for p in range(indptr[i], indptr[i + 1]):
+                for j in range(k):
+                    y[i][j] += values[p] * float(x[indices[p], j])
+                    g[indices[p]][j] += values[p] * float(c[i, j])
+        y, g = np.array(y), np.array(g)
+        if k == 1:
+            x, c, y, g = x[:, 0], c[:, 0], y[:, 0], g[:, 0]
+        if (a.product(x).tobytes() != y.tobytes()
+                or a.product(c, transpose=True).tobytes() != g.tobytes()):
+            return False
+    return True
+
+
 def _self_test() -> bool:
     rng = np.random.default_rng(20190606)
+    if not (_expit_ok(rng) and _products_ok(rng)):
+        return False
     for n in range(1, 131):
         a, b = rng.standard_normal(n), rng.standard_normal(n)
         got = lib.vr_dot(n, ffi.from_buffer("double[]", a),
@@ -257,7 +363,7 @@ def load(dirs=None, compile_fn=None):
         ffi, lib = mod.ffi, mod.lib
         if not _self_test():
             lib = ffi = None
-            status = "unavailable: kernel dot or reader differs from numpy's"
+            status = "unavailable: the kernel failed its self-test"
             return None
         status = f"loaded from {path}"
         return lib

@@ -1,6 +1,6 @@
 /* Declarations of the compiled kernel (_segment.c: inner segments, _read.c:
-   set-up), read both by the C compiler and by cffi (so: no preprocessor
-   lines but integer defines). */
+   set-up, _oracle.c: the model's full and bulk oracles), read both by the
+   C compiler and by cffi (so: no preprocessor lines but integer defines). */
 
 /* why vr_segment stopped; every reason but VR_HORIZON, VR_FULL and
    VR_DIVERGED leaves the next pass, undrawn, to the Python loop */
@@ -62,3 +62,16 @@ typedef struct {
 int vr_read_block(const char *text, int64_t size, vr_block *b);
 void vr_row_sq_norms(int64_t n, const int64_t *indptr, const double *values,
                      double *out);
+
+/* A's CSR rows, for the products of vropt.model's oracles (_oracle.c) */
+typedef struct {
+    int64_t n, d;
+    const int64_t *indptr, *indices;
+    const double *values;
+} vr_csr;
+
+/* y = A x (x: d by k, y: n by k) and y = A^T x (x: n by k, y: d by k),
+   row-major */
+void vr_csr_dot(const vr_csr *a, int64_t k, const double *x, double *y);
+void vr_csr_tdot(const vr_csr *a, int64_t k, const double *x, double *y);
+void vr_expit(int64_t size, const double *t, double *out);

@@ -164,14 +164,17 @@ def _numbers(buf, start, end, dtype):
         chars = np.lib.stride_tricks.sliding_window_view(buf, width)[start[lo:hi]]
         chars *= np.arange(width) < lengths[lo:hi, None]  # NUL-pad each token
         text = chars.view(f"S{width}").ravel()
-        try:
-            out[lo:hi] = text.astype(dtype)
-        except (ValueError, OverflowError):  # find the culprit, one at a time
-            for j in range(lo, hi):
-                try:
-                    out[j] = text[j - lo:j - lo + 1].astype(dtype)[0]
-                except (ValueError, OverflowError):
-                    return out[:j]
+        # a value past the double range reads as inf, which the caller's
+        # finite check reports; numpy's overflow warning would come first
+        with np.errstate(over="ignore"):
+            try:
+                out[lo:hi] = text.astype(dtype)
+            except (ValueError, OverflowError):  # find the culprit, one at a time
+                for j in range(lo, hi):
+                    try:
+                        out[j] = text[j - lo:j - lo + 1].astype(dtype)[0]
+                    except (ValueError, OverflowError):
+                        return out[:j]
         lo = hi
     return out
 

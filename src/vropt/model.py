@@ -13,6 +13,14 @@ Two concrete losses:
 Gradient oracles are what the IFO counter meters: a component gradient costs
 1, a full gradient costs n.  Objective values are free (value oracle is not
 part of the IFO contract).
+
+The data matrix A is held once, as the dataset's CSR arrays.  The full and
+bulk oracles take two products of it, A x and A^T c, and the logistic
+sigmoid expit(t) = 1 / (1 + e^-t) of the margins.  They run in the compiled
+kernel (``vropt._kernel``) when it is loaded, without a transposed copy of
+A, and otherwise in scipy (``csr_matrix.dot`` on A and on a cached A^T,
+``scipy.special.expit``), which is then imported on the first oracle call.
+Both paths give the same bits; scipy's is the reference.
 """
 
 from __future__ import annotations
@@ -21,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from . import _kernel
 from .data import SparseRow  # noqa: F401  (re-exported)
@@ -64,6 +70,65 @@ def _stable_neg_sigmoid(z: float) -> float:
     return 1.0 / (1.0 + math.exp(z))
 
 
+def _expit(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-t) elementwise (the kernel's, or scipy's without one)."""
+    if _kernel.lib is not None:
+        return _kernel.expit(t)
+    from scipy.special import expit
+    return expit(t)
+
+
+class _CSR:
+    """A (n by d) as the dataset's validated CSR arrays, shared: scipy's CSR
+    constructor would copy the int64 index arrays down to int32.  ``dot``
+    and ``tdot`` run in the kernel when it is loaded (looked up on every
+    call, since it can be hidden mid-process), else in scipy.  The kernel's
+    view of A and scipy's A and A^T are made on first use and kept."""
+
+    __slots__ = ("indptr", "indices", "data", "shape", "_view", "_scipy")
+
+    def __init__(self, dataset):
+        self.indptr, self.indices = dataset.indptr, dataset.indices
+        self.data, self.shape = dataset.values, (dataset.n, int(dataset.d))
+        self._view = self._scipy = None
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for x of shape (d,) or (d, k)."""
+        if _kernel.lib is not None:
+            return self._compiled().product(x)
+        return self._scipy_pair()[0].dot(x)
+
+    def tdot(self, c: np.ndarray) -> np.ndarray:
+        """A^T @ c for c of shape (n,) or (n, k)."""
+        if _kernel.lib is not None:
+            return self._compiled().product(c, transpose=True)
+        return self._scipy_pair()[1].dot(c)
+
+    def _compiled(self):
+        if self._view is None or self._view.ffi is not _kernel.ffi:
+            self._view = _kernel.CSRView(self)
+        return self._view
+
+    def _scipy_pair(self):
+        if self._scipy is None:
+            import scipy.sparse as sp
+            A = sp.csr_matrix(self.shape)
+            A.indptr, A.indices, A.data = self.indptr, self.indices, self.data
+            self._scipy = A, A.T.tocsr()  # building A.T per call is costly
+        return self._scipy
+
+    def dense_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows idx of A as a dense array, len(idx) by d."""
+        lo, counts = self.indptr[idx], self.indptr[idx + 1] - self.indptr[idx]
+        row = np.repeat(np.arange(idx.size), counts)
+        # the k-th gathered nonzero is entry k - (nonzeros of earlier rows)
+        # of its row, which starts at lo[row]
+        at = np.arange(row.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        rows = np.zeros((idx.size, self.shape[1]))
+        rows[row, self.indices[at]] = self.data[at]
+        return rows
+
+
 def _stable_log1pexp(z: float) -> float:
     """ln(1 + e^(-z)), the logistic loss term, computed without overflow."""
     if z >= 0.0:
@@ -86,14 +151,9 @@ class _MarginModel:
         self.d = int(dataset.d)
         self.name = dataset.name
         self.mean_row_nnz = dataset.indices.size / self.n
-        # the dataset's validated arrays, shared: scipy's CSR constructor
-        # would copy the int64 index arrays down to int32
-        self._A = sp.csr_matrix((self.n, self.d))
-        self._A.indptr, self._A.indices = dataset.indptr, dataset.indices
-        self._A.data, self._b = dataset.values, dataset.y
+        self._A, self._b = _CSR(dataset), dataset.y
         # indexing a memoryview gives a Python number, faster than numpy's
         self._bounds, self._labels = memoryview(dataset.indptr), memoryview(dataset.y)
-        self._AT = self._A.T.tocsr()  # cached: building A.T per call is costly
         # one BLAS dot per row, as SparseRow.sq_norm (the kernel calls the
         # same ddot): a vectorised sum rounds differently in the last bit,
         # and L sets every step size
@@ -155,8 +215,8 @@ class _MarginModel:
             # keeps the two oracles bit-identical in the degenerate case
             return self.component_gradient(0, x)
         z = self._b * self._A.dot(x)
-        coef = (-self._b * expit(-z)) / self.n
-        g = self._AT.dot(coef)
+        coef = (-self._b * _expit(-z)) / self.n
+        g = self._A.tdot(coef)
         g += self._reg_gradient(x)
         return g
 
@@ -181,8 +241,8 @@ class _MarginModel:
         for lo in range(0, X.shape[0], _BLOCK):
             chunk = X[lo:lo + _BLOCK]
             Z = self._b[:, None] * self._A.dot(chunk.T)
-            coef = (-self._b[:, None] * expit(-Z)) / self.n
-            G = np.asarray(self._AT.dot(coef)).T
+            coef = (-self._b[:, None] * _expit(-Z)) / self.n
+            G = self._A.tdot(coef).T
             G += self._reg_gradient(chunk)
             out[lo:lo + chunk.shape[0]] = G
         return out
@@ -203,10 +263,12 @@ class _MarginModel:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[0] == 1 and idx.size > 1:
             X = np.broadcast_to(X, (idx.size, X.shape[1]))
-        rows = np.asarray(self._A[idx].todense())
+        if idx.size and not 0 <= idx.min() <= idx.max() < self.n:
+            raise ContractError(f"component indices out of range [0, {self.n})")
+        rows = self._A.dense_rows(idx)
         b = self._b[idx]
         z = b * np.einsum("ij,ij->i", rows, X)
-        c = -b * expit(-z)
+        c = -b * _expit(-z)
         G = c[:, None] * rows
         G += self._reg_gradient(X)
         return G

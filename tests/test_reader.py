@@ -8,6 +8,7 @@ import json
 import locale
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,18 @@ def test_hard_decimals_are_read():
     for text in _kernel.HARD_DECIMALS:
         block = f"{text} 1:{text}\n{text}".encode()
         assert check_block(block) == (text != "2.2250738585072011e-308")
+
+
+@pytest.mark.parametrize("text", ["+1 1:17976931348623157e308\n",
+                                  "+1 1:-17976931348623157e308\n",
+                                  "17976931348623157e308 1:1\n"])
+def test_overflow_is_a_parse_error_not_a_warning(no_kernel, text):
+    """The numpy reader reads a decimal past the double range as inf and
+    names it in a ParseError; numpy's overflow warning does not escape."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            parse_libsvm(text)
 
 
 @needs_kernel
