@@ -18,17 +18,14 @@ from .model import (
     NonconvexLogisticModel,
     SparseRow,
 )
-from .optim import (
-    ALGORITHMS,
-    OptimizerConfig,
+from .optim import ALGORITHMS, OptimizerConfig, RunResult, run
+from .planner import (
     PlannedStep,
-    RunResult,
     c_eta,
     eta_max_nonconvex,
     lambda_last_iterate,
     lambda_loopless_sc,
     plan_step_size,
-    run,
     sigma_geometric,
     theta_strongly_convex,
 )

@@ -1,7 +1,8 @@
-"""Build, cache and load the compiled kernel: the inner segments of
-``vropt.optim`` (``_segment.c``), the set-up of ``vropt.data`` and
-``vropt.model`` (``_read.c``) and the products and sigmoid of the model's
-full and bulk oracles (``_oracle.c``), declared in ``_segment.h``.
+"""Build, cache and load the compiled kernel, and own its C interface: the
+inner segments of ``vropt.optim`` (``Segments``, ``_segment.c``), the
+set-up of ``vropt.data`` and ``vropt.model`` (``_read.c``) and the products
+and sigmoid of the model's oracles (``CSRView``, ``_oracle.c``), declared
+in ``_segment.h``.  No other module creates or passes a C-side object.
 
 The kernel is compiled with cffi's API mode and the system C compiler, once
 per hash of its sources (``SOURCES``) and flags and per Python ABI, into
@@ -45,6 +46,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+
+from .errors import DivergenceError
 
 HERE = Path(__file__).resolve().parent
 # the declarations, the main source and the other sources: what a build
@@ -211,6 +214,7 @@ class CSRView:
                 and (not indices.size or 0 <= indices.min() <= indices.max() < d)):
             raise ValueError(f"not a CSR matrix of shape {a.shape}")
         self.ffi = ffi
+        self.width = int(np.diff(indptr).max(initial=0))  # the longest row
         self._arrays = [ffi.from_buffer("int64_t[]", indptr),
                         ffi.from_buffer("int64_t[]", indices),
                         ffi.from_buffer("double[]", values)]  # kept alive
@@ -241,6 +245,89 @@ def expit(t):
     lib.vr_expit(t.size, ffi.from_buffer("double[]", t),
                  ffi.from_buffer("double[]", out))
     return out
+
+
+class Segments:
+    """The kernel on a run's state (``vropt.optim``'s ``_Run``) and
+    estimator, reading A through the model's ``CSRView``.  ``run`` takes
+    the passes up to the next event (see _segment.h) in C, with the draws,
+    the IFO count, the divergence guard and the index and iterate logs,
+    and returns the loop position; the Python loop then takes the event's
+    pass.  The state is copied in per segment, as Python may hold on to the
+    estimator's arrays (x_a, also the next snapshot point, and the output)."""
+
+    # the estimator arrays behind vr_seg's cur, prev and v, by est.code
+    _STATE = {0: ("cur",), 1: ("cur", "anchor", "mu"), 2: ("cur", "prev", "v")}
+
+    def __init__(self, model, st, est, table, sched, coin_m, period, u_cap,
+                 bern):
+        from .model import kernel_view  # vropt.model imports this module
+        labels, reg, reg_c = kernel_view(model)
+        self.st, self.est, self.sched, self.n = st, est, sched, model.n
+        self.idx, self.snap = st.streams["index"], st.streams["snapshot"]
+        self.bern = bern
+        self.a = model._A._compiled()  # made once per model, kept alive here
+        self.s = s = ffi.new("vr_seg *")
+        self.work = np.empty(2 * model.d + self.a.width)
+        # the kernel reads these through raw pointers: pin dtype and layout
+        self._hold = [ffi.from_buffer("double[]", a) for a in (
+            np.ascontiguousarray(labels, np.float64), self.work)]
+        s.labels, s.work = self._hold
+        s.a, s.n, s.kind = self.a._csr, model.n, est.code
+        s.reg, s.reg_c = reg, reg_c
+        if table is not None:
+            accept, alias = table.alias_table()
+            self._hold += [ffi.from_buffer("double[]", a) for a in
+                           (table.weights, accept)]
+            self._hold.append(ffi.from_buffer("int64_t[]", alias))
+            s.weights, s.accept, s.alias = self._hold[-3:]
+        for rng, field_ in ((self.idx, s.idx_rng), (self.snap, s.snap_rng)):
+            field_[0], field_[1] = rng._start, rng._gamma
+        s.coin_m, s.period, s.u_cap = coin_m, period, u_cap
+        s.ifo_cap = -1 if st.config.max_ifo is None else st.config.max_ifo
+        s.pass_k, s.diverge_sq, s.max_steps = -1, st.diverge_sq, -1
+
+    def run(self, updates, inner, a_at):
+        st, est, s = self.st, self.est, self.s
+        if not updates:
+            return updates, inner  # the first update is Python's
+        count = st.counter.count
+        if self.sched is not None:
+            s.pass_k = count // self.n
+            est.eta = self.sched(s.pass_k)
+        s.eta, s.updates, s.inner, s.count = est.eta, updates, inner, count
+        s.a_at = a_at
+        s.rec_next = -1 if st.rec_step is None else st.next_thresh
+        s.idx_rng[2], s.snap_rng[2] = self.idx._ctr, self.snap._ctr
+        names = self._STATE[est.code]
+        state = [np.array(getattr(est, k), np.float64, order="C")
+                 for k in names]
+        ptrs = [ffi.from_buffer("double[]", a) for a in state]
+        s.cur, s.prev, s.v = ptrs + [ffi.NULL] * (3 - len(ptrs))
+        logs = (st.indices, st.iterates)
+        while True:
+            start = s.updates
+            if st.indices is not None:
+                s.max_steps = min(log.free() for log in logs)
+                s.idx_log = (ffi.from_buffer("int64_t[]", st.indices.buf)
+                             + st.indices.size)
+                s.it_log = (ffi.from_buffer("double[]", st.iterates.buf)
+                            + st.iterates.size * st.model.d)
+            why = lib.vr_segment(s)
+            if st.indices is not None:
+                for log in logs:
+                    log.size += s.updates - start
+            if why != lib.VR_FULL:
+                break
+        for k, a in zip(names, state):
+            setattr(est, k, a)
+        st.counter.count = s.count
+        self.idx._ctr, self.snap._ctr = s.idx_rng[2], s.snap_rng[2]
+        if self.bern is not None:
+            self.bern += bytes(s.updates - updates)
+        if why == lib.VR_DIVERGED:
+            raise DivergenceError("iterate norm exploded", s.updates)
+        return s.updates, s.inner
 
 
 # decimals that a reader which does not round correctly gets wrong: ties

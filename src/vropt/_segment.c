@@ -100,13 +100,13 @@ static double coef(const vr_seg *s, int64_t i, int64_t nnz,
 static void dense_grad(const vr_seg *s, int64_t i, const double *x,
                        double *g, double *xs)
 {
-    int64_t lo = s->indptr[i], nnz = s->indptr[i + 1] - lo, d = s->d, j, k;
-    const int64_t *idx = s->indices + lo;
-    const double *val = s->values + lo;
-    double c;
+    const vr_csr *a = s->a;
+    int64_t lo = a->indptr[i], nnz = a->indptr[i + 1] - lo, d = a->d, j, k;
+    const int64_t *idx = a->indices + lo;
+    const double *val = a->values + lo;
     for (k = 0; k < nnz; k++)
         xs[k] = x[idx[k]];
-    c = coef(s, i, nnz, val, xs);
+    double c = coef(s, i, nnz, val, xs);
     if (s->reg == 0) {
         for (j = 0; j < d; j++)
             g[j] = s->reg_c * x[j];
@@ -124,7 +124,7 @@ static void dense_grad(const vr_seg *s, int64_t i, const double *x,
 
 static void dense_step(vr_seg *s, int64_t i)
 {
-    int64_t d = s->d, j;
+    int64_t d = s->a->d, j;
     double *g1 = s->work, *g0 = g1 + d, *xs = g0 + d, eta = s->eta;
     double *cur = s->cur, *prev = s->prev, *v = s->v;
     dense_grad(s, i, cur, g1, xs);
@@ -151,7 +151,7 @@ static void dense_step(vr_seg *s, int64_t i)
 
 int vr_segment(vr_seg *s)
 {
-    int64_t cost = s->kind == 0 ? 1 : 2, d = s->d, steps = 0, i, j;
+    int64_t cost = s->kind == 0 ? 1 : 2, d = s->a->d, steps = 0, i, j;
     for (;;) {
         int64_t next = s->count + cost;
         uint64_t sctr = s->snap_rng[2];

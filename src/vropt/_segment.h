@@ -14,12 +14,19 @@
 #define VR_FULL 7       /* the iterate or index log is full */
 #define VR_DIVERGED 8   /* ||x_updates||^2 is not finite or above diverge_sq */
 
+/* A's CSR rows, read by the model's products (_oracle.c) and segments */
 typedef struct {
-    /* model: CSR rows, labels and regularizer (0: lam x, 1: the bounded
-       nonconvex penalty with alpha = reg_c) */
     int64_t n, d;
     const int64_t *indptr, *indices;
-    const double *values, *labels;
+    const double *values;
+} vr_csr;
+
+typedef struct {
+    /* model: A, labels and regularizer (0: lam x, 1: the bounded
+       nonconvex penalty with alpha = reg_c) */
+    int64_t n;                          /* a->n, the index draws' range */
+    const vr_csr *a;
+    const double *labels;
     int reg;
     double reg_c;
     /* estimator: 0 plain (cur), 1 anchored (cur, prev = anchor, v = mu),
@@ -62,13 +69,6 @@ typedef struct {
 int vr_read_block(const char *text, int64_t size, vr_block *b);
 void vr_row_sq_norms(int64_t n, const int64_t *indptr, const double *values,
                      double *out);
-
-/* A's CSR rows, for the products of vropt.model's oracles (_oracle.c) */
-typedef struct {
-    int64_t n, d;
-    const int64_t *indptr, *indices;
-    const double *values;
-} vr_csr;
 
 /* y = A x (x: d by k, y: n by k) and y = A^T x (x: n by k, y: d by k),
    row-major */

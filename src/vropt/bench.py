@@ -23,8 +23,8 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigError, DivergenceError
 from .model import LogisticModel, NonconvexLogisticModel
-from .optim import (OptimizerConfig, engine, eta_max_nonconvex, inner_step,
-                    plan_step_size, run)
+from .optim import OptimizerConfig, engine, inner_step, run
+from .planner import eta_max_nonconvex, plan_step_size
 
 CSV_SCHEMA = "trace-v1"
 CSV_COLUMNS = ("algorithm", "seed", "effective_pass", "ifo", "subopt",

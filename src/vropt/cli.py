@@ -32,24 +32,36 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+def _value(sec, key: str, parse, fallback=None):
+    """``parse(sec[key])``, or ``fallback`` when ``key`` is unset; a value
+    that ``parse`` rejects is a ConfigError naming the section and key."""
+    if key not in sec:
+        return fallback
+    try:
+        return parse(sec[key])
+    except ValueError:
+        raise ConfigError(f"[{sec.name}] {key}: malformed value "
+                          f"{sec[key]!r}") from None
+
+
 def _parse_dataset(cp: configparser.ConfigParser) -> bench.DatasetSpec:
     if not cp.has_section("dataset"):
         raise ConfigError("config needs a [dataset] section")
     sec = cp["dataset"]
     if sec.getboolean("synthetic", fallback=False):
         return bench.DatasetSpec(synthetic=SyntheticSpec(
-            n=sec.getint("n"),
-            d=sec.getint("d"),
-            spread=sec.getfloat("spread", fallback=1.0),
-            noise_rate=sec.getfloat("noise", fallback=0.0),
-            seed=sec.getint("seed", fallback=0),
+            n=_value(sec, "n", int),
+            d=_value(sec, "d", int),
+            spread=_value(sec, "spread", float, 1.0),
+            noise_rate=_value(sec, "noise", float, 0.0),
+            seed=_value(sec, "seed", int, 0),
         ))
     if "path" not in sec:
         raise ConfigError("[dataset] needs synthetic=true or a path")
     return bench.DatasetSpec(
         path=sec["path"],
         name=sec.get("name", fallback=Path(sec["path"]).name),
-        d=sec.getint("d", fallback=None),
+        d=_value(sec, "d", int),
     )
 
 
@@ -59,8 +71,8 @@ def _parse_loss(cp) -> bench.LossSpec:
     sec = cp["loss"]
     return bench.LossSpec(
         kind=sec.get("kind", fallback="logistic"),
-        lam=sec.getfloat("lam", fallback=0.0),
-        alpha=sec.getfloat("alpha", fallback=1.0),
+        lam=_value(sec, "lam", float, 0.0),
+        alpha=_value(sec, "alpha", float, 1.0),
     )
 
 
@@ -71,14 +83,17 @@ def _parse_optimizers(cp) -> tuple:
             continue
         sec = cp[section]
         label = sec.get("label", fallback=section.split(".", 1)[-1])
+        m_rule = sec.get("m", fallback="n")
+        if m_rule not in ("n", "sqrt_n"):
+            _value(sec, "m", int)  # must then be an integer literal
         setups.append(bench.OptimizerSetup(
             algorithm=sec["algorithm"],
             label=label,
-            eta=sec.getfloat("eta", fallback=None),
-            eta_over_L=sec.getfloat("eta_over_L", fallback=None),
-            eta_over_Lbar=sec.getfloat("eta_over_Lbar", fallback=None),
+            eta=_value(sec, "eta", float),
+            eta_over_L=_value(sec, "eta_over_L", float),
+            eta_over_Lbar=_value(sec, "eta_over_Lbar", float),
             regime=sec.get("regime", fallback=None),
-            m_rule=sec.get("m", fallback="n"),
+            m_rule=m_rule,
         ))
     return tuple(setups)
 
@@ -92,18 +107,19 @@ def load_experiment_spec(path: str, seed_override: int | None = None,
     if not cp.has_section("experiment"):
         raise ConfigError("config needs an [experiment] section")
     exp = cp["experiment"]
-    seeds = tuple(_ints(exp.get("seeds", fallback="0")))
+    seeds = tuple(_value(exp, "seeds", _ints, [0]))
     if seed_override is not None:
         seeds = (seed_override,)
-    cadence = exp.get("record_every_pass", fallback="1")
     return bench.ExperimentSpec(
         name=exp.get("name", fallback=Path(path).stem),
         dataset=_parse_dataset(cp),
         loss=_parse_loss(cp),
         optimizers=_parse_optimizers(cp),
-        passes=exp.getint("passes", fallback=30),
+        passes=_value(exp, "passes", int, 30),
         seeds=seeds,
-        record_every_pass=None if cadence == "none" else float(cadence),
+        record_every_pass=_value(
+            exp, "record_every_pass",
+            lambda text: None if text == "none" else float(text), 1.0),
         out_dir=out_override or exp.get("out", fallback="results"),
     )
 
@@ -181,7 +197,7 @@ def _cmd_diag(args) -> int:
     print(f"  convex:    {'PASS' if ok else 'FAIL'} "
           f"(horizon {len(reports) - 1}, {resamples} resamples)")
     noncvx = NonconvexLogisticModel(ds, alpha=1.0)
-    from .optim import eta_max_nonconvex
+    from .planner import eta_max_nonconvex
     reports = estimate_mse_bound(noncvx, "nonconvex",
                                  eta=eta_max_nonconvex(5, noncvx.L),
                                  m=5, horizon=8, resamples=resamples,
@@ -227,9 +243,9 @@ def _cmd_subsample_study(args) -> int:
     if not cp.read(args.config):
         raise ConfigError(f"cannot read config file {args.config}")
     dataset = _parse_dataset(cp).load()
-    sec = cp["study"] if cp.has_section("study") else {}
-    n_values = _ints(sec.get("n_values", "10 100 1000"))
-    passes = int(sec.get("passes", "30"))
+    sec = cp["study" if cp.has_section("study") else cp.default_section]
+    n_values = _value(sec, "n_values", _ints, [10, 100, 1000])
+    passes = _value(sec, "passes", int, 30)
     rows = bench.subsample_study(
         dataset, n_values, passes=passes,
         seed=args.seed if args.seed is not None else 0,

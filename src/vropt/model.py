@@ -26,7 +26,6 @@ Both paths give the same bits; scipy's is the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -313,32 +312,16 @@ class NonconvexLogisticModel(_MarginModel):
         return self.alpha * (2.0 * x) / (den * den)
 
 
-
-@dataclass(frozen=True)
-class KernelView:
-    """What vropt.optim's compiled kernel (``_segment.c``) reads of a model:
-    the CSR rows of A (row i is ``values[indptr[i]:indptr[i+1]]`` at
-    ``indices[...]``), the labels b, and the regularizer by the kernel's code
-    (0: (lam/2) ||x||^2, 1: alpha sum_j x_j^2 / (1 + x_j^2)) and constant."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    labels: np.ndarray
-    reg: int
-    reg_c: float
-
-
-def kernel_view(model) -> KernelView | None:
-    """The kernel's view of ``model``, or None unless ``model`` is exactly
-    one of the two models above, whose oracles the kernel repeats: a
-    subclass may change an oracle, and a delegating proxy (one that times
-    the oracle calls, say) must see every call."""
+def kernel_view(model):
+    """What the compiled inner segments (``_segment.c``) read of ``model``
+    beside A's CSR view (``_CSR._compiled``): the labels b and the
+    regularizer by the kernel's code (0: (lam/2) ||x||^2, 1: alpha sum_j
+    x_j^2 / (1 + x_j^2)) and constant, as ``(labels, reg, reg_c)``.  None
+    unless ``model`` is exactly one of the two models above, whose oracles
+    the kernel repeats: a subclass may change an oracle, and a delegating
+    proxy (one that times the oracle calls, say) must see every call."""
     if type(model) is LogisticModel:
-        reg, reg_c = 0, model.lam
-    elif type(model) is NonconvexLogisticModel:
-        reg, reg_c = 1, model.alpha
-    else:
-        return None
-    A = model._A
-    return KernelView(A.indptr, A.indices, A.data, model._b, reg, reg_c)
+        return model._b, 0, model.lam
+    if type(model) is NonconvexLogisticModel:
+        return model._b, 1, model.alpha
+    return None

@@ -47,17 +47,11 @@ are the same on both paths, and the iterates agree to rounding.
 
 Engine
 ------
-The loop advances by segments: the inner-step passes up to the next event
-(a snapshot, a trace threshold, ``max_ifo``, the restart point x_a, the
-horizon, the first update, an SGD pass boundary or divergence).  When
-``engine`` selects it, a compiled kernel (``_segment.c``, built at import
-by ``_kernel``) takes each segment of the dense estimators, draws
-included, and stops before the event's pass, which this loop then takes.
-The kernel repeats the Python estimators' arithmetic operation for
-operation, with numpy's own ddot for every dot product, so both engines
-give bit-identical results; ``RunResult.engine`` records which ran.  Proxy
-models, rebound draw functions, the lazy recursion and a missing kernel
-take the Python loop.
+When ``engine`` selects it, ``_kernel.Segments`` takes the inner-step
+passes up to each event in C, bit-identical to this loop;
+``RunResult.engine`` records which ran.
+
+The step-size planner lives in ``vropt.planner`` (re-exported here).
 """
 
 from __future__ import annotations
@@ -71,6 +65,10 @@ import numpy as np
 from . import _kernel, sampling
 from .errors import ConfigError, DescentViolation, DivergenceError
 from .model import IfoCounter, kernel_view
+from .planner import (REGIMES, PlannedStep, c_eta,  # noqa: F401 (re-exported)
+                      eta_max_nonconvex, lambda_last_iterate,
+                      lambda_loopless_sc, plan_step_size, sigma_geometric,
+                      theta_strongly_convex)
 from .sampling import (
     build_importance_table,
     draw_snapshot_flag,
@@ -81,7 +79,6 @@ from .sampling import (
 ALGORITHMS = ("GD", "SGD", "SVRG", "SARAH", "SARAH-LI", "L2S", "L2S-SC", "D2S")
 _OUTER_LOOPS = {"SVRG", "SARAH", "SARAH-LI", "D2S"}
 
-_DIVERGE_SQ = 1e24  # ||x||^2 guard, i.e. ||x|| > 1e12
 _DESCENT_RTOL = 1e-12
 
 
@@ -129,6 +126,9 @@ def validate_config(config: OptimizerConfig) -> None:
         raise ConfigError("SVRG requires m >= 1")
     if config.max_ifo is not None and config.max_ifo < 0:
         raise ConfigError("max_ifo must be >= 0")
+    cadence = config.record_every_pass
+    if cadence is not None and not (cadence > 0 and math.isfinite(cadence)):
+        raise ConfigError("record_every_pass must be positive and finite")
     if config.eta_schedule is not None and algo not in ("GD", "SGD"):
         raise ConfigError(f"{algo} takes no eta_schedule (GD and SGD do)")
     if not config.step_back and algo != "L2S-SC":
@@ -202,6 +202,8 @@ class _Log:
 class _Run:
     """Per-run bookkeeping: counter, streams, trace recorder, guards."""
 
+    diverge_sq = 1e24  # ||x||^2 guard, i.e. ||x|| > 1e12
+
     def __init__(self, model, config, descent_cap):
         self.model, self.config = model, config
         self.descent_cap = descent_cap  # None: no first-update descent check
@@ -214,11 +216,11 @@ class _Run:
             if self.x0.shape != (model.d,):
                 raise ConfigError("x0 has wrong dimension")
         cadence = config.record_every_pass
-        self._rec_step = (None if cadence is None
-                          else int(round(cadence * model.n)))
-        if self._rec_step is not None and self._rec_step < 1:
+        self.rec_step = (None if cadence is None
+                         else int(round(cadence * model.n)))
+        if self.rec_step is not None and self.rec_step < 1:
             raise ConfigError("record cadence below one IFO call")
-        self._next_thresh = self._last_t = 0
+        self.next_thresh = self._last_t = 0
         self._rows, self.snapshot_iters = [], []
         self.snapshot_grads, self.snapshot_points = [], []
         rec = config.record_iterates
@@ -232,16 +234,16 @@ class _Run:
         self.record(self.x0)
 
     def record(self, x):
-        if self._rec_step is None:
+        if self.rec_step is None:
             return
-        while self.counter.count >= self._next_thresh:
+        while self.counter.count >= self.next_thresh:
             g = self.model.full_gradient(x)
             f = self.model.objective(x)
             if not math.isfinite(f) or abs(f) > 1e12:
                 raise DivergenceError("objective exploded", self._last_t)
             self._rows.append((self.counter.count / self.model.n,
                                self.counter.count, f, float(g @ g)))
-            self._next_thresh += self._rec_step
+            self.next_thresh += self.rec_step
 
     def note_snapshot(self, t, v, x):
         self.snapshot_iters.append(t)
@@ -260,14 +262,14 @@ class _Run:
         it."""
         nx = est.sq_norm()
         self._last_t = t
-        if not math.isfinite(nx) or nx > _DIVERGE_SQ:
+        if not math.isfinite(nx) or nx > self.diverge_sq:
             raise DivergenceError("iterate norm exploded", t)
         if self.iterates is not None:
             self.iterates.append(est.materialise())
         if t == 1:
             self.check_first_step(est.materialise(), est.eta)
-        rec = self._rec_step is not None
-        if rec and self.counter.count >= self._next_thresh:
+        if (self.rec_step is not None
+                and self.counter.count >= self.next_thresh):
             self.record(est.materialise())
         cap = self.config.max_ifo
         if cap is not None and self.counter.count >= cap:
@@ -331,7 +333,10 @@ def inner_step(model, algorithm: str) -> str:
     regularizer (``model.ridge``), which makes the recursion affine off the
     sampled row.  Below d = 512, or with rows filling over a quarter of d,
     the measured gain is small (README, "Sparse inner steps"), so such
-    models keep the dense path, which is the bit-exact reference.
+    models keep the dense path, which is the bit-exact reference.  That
+    crossover was measured against the Python dense loop; the compiled
+    dense steps beat the lazy ones up to about d = 8192 at 8 nonzeros per
+    row (ROADMAP item 2).
     Read through plain attribute access, so a delegating proxy gets the
     same answer.
     """
@@ -501,12 +506,11 @@ def engine(model, algorithm: str) -> str:
     ``model`` in the compiled kernel, else "python".
 
     Read from what a run can observe: the kernel loaded (and passed its
-    dot-product self-test), ``vropt.model.kernel_view`` gives the model's
-    arrays (only a library model, whose oracles the kernel repeats, has
-    them), the two draw functions are still the ``sampling`` ones, and the
-    inner steps are dense.  So any proxy model or rebound draw takes the
-    Python path.  GD has no inner steps.  The lazy recursion stays in
-    Python (ROADMAP item 1).
+    dot-product self-test), ``vropt.model.kernel_view`` accepts the model
+    (a library model, whose oracles the kernel repeats), the two draw
+    functions are still the ``sampling`` ones, and the inner steps are
+    dense, so any proxy model or rebound draw takes the Python path.  GD
+    has no inner steps; the lazy recursion stays in Python (ROADMAP item 2).
     """
     compiled = (_kernel.lib is not None and algorithm != "GD"
                 and kernel_view(model) is not None
@@ -514,95 +518,6 @@ def engine(model, algorithm: str) -> str:
                 and draw_snapshot_flag is sampling.draw_snapshot_flag
                 and inner_step(model, algorithm) == "dense")
     return "compiled" if compiled else "python"
-
-
-class _Segments:
-    """The compiled kernel on a run's estimator state.  ``run`` takes the
-    passes up to the next event (see _segment.h) in C, with the draws, the
-    IFO count, the divergence guard and the index and iterate logs, and
-    returns the loop position; the Python loop then takes the event's pass.
-    The state is copied in per segment, as Python may hold on to the
-    estimator's arrays (x_a, which is also the next outer loop's snapshot
-    point, and the output)."""
-
-    # the estimator arrays behind vr_seg's cur, prev and v, by est.code
-    _STATE = {0: ("cur",), 1: ("cur", "anchor", "mu"), 2: ("cur", "prev", "v")}
-
-    def __init__(self, model, st, est, table, sched, coin_m, period, u_cap,
-                 bern):
-        ffi = _kernel.ffi
-        self.st, self.est, self.sched, self.n = st, est, sched, model.n
-        self.idx, self.snap = st.streams["index"], st.streams["snapshot"]
-        self.bern = bern
-        self.s = s = ffi.new("vr_seg *")
-        view, i64, f64 = kernel_view(model), np.int64, np.float64
-        width = int(np.diff(view.indptr).max())
-        self.work = np.empty(2 * model.d + width)
-        # the kernel reads these through raw pointers: pin dtype and layout
-        self._arrays = [np.ascontiguousarray(a, t) for a, t in (
-            (view.indptr, i64), (view.indices, i64), (view.values, f64),
-            (view.labels, f64), (self.work, f64))]
-        self._hold = [ffi.from_buffer("int64_t[]" if a.dtype == i64
-                                      else "double[]", a)
-                      for a in self._arrays]
-        (s.indptr, s.indices, s.values, s.labels, s.work) = self._hold
-        s.n, s.d, s.kind = model.n, model.d, est.code
-        s.reg, s.reg_c = view.reg, view.reg_c
-        if table is not None:
-            accept, alias = table.alias_table()
-            self._hold += [ffi.from_buffer("double[]", a) for a in
-                           (table.weights, accept)]
-            self._hold.append(ffi.from_buffer("int64_t[]", alias))
-            s.weights, s.accept, s.alias = self._hold[-3:]
-        for rng, field_ in ((self.idx, s.idx_rng), (self.snap, s.snap_rng)):
-            field_[0], field_[1] = rng._start, rng._gamma
-        s.coin_m, s.period, s.u_cap = coin_m, period, u_cap
-        s.ifo_cap = -1 if st.config.max_ifo is None else st.config.max_ifo
-        s.pass_k, s.diverge_sq = -1, _DIVERGE_SQ
-
-    def run(self, updates, inner, a_at):
-        st, est, s, ffi = self.st, self.est, self.s, _kernel.ffi
-        if not updates:
-            return updates, inner  # the first update is Python's
-        count = st.counter.count
-        if self.sched is not None:
-            s.pass_k = count // self.n
-            est.eta = self.sched(s.pass_k)
-        s.eta, s.updates, s.inner, s.count = est.eta, updates, inner, count
-        s.a_at = a_at
-        s.rec_next = -1 if st._rec_step is None else st._next_thresh
-        s.idx_rng[2], s.snap_rng[2] = self.idx._ctr, self.snap._ctr
-        names = self._STATE[est.code]
-        state = [np.array(getattr(est, k), np.float64, order="C")
-                 for k in names]
-        ptrs = [ffi.from_buffer("double[]", a) for a in state]
-        s.cur, s.prev, s.v = ptrs + [ffi.NULL] * (3 - len(ptrs))
-        logs = (st.indices, st.iterates)
-        while True:
-            start = s.updates
-            if st.indices is not None:
-                s.max_steps = min(log.free() for log in logs)
-                s.idx_log = (ffi.from_buffer("int64_t[]", st.indices.buf)
-                             + st.indices.size)
-                s.it_log = (ffi.from_buffer("double[]", st.iterates.buf)
-                            + st.iterates.size * st.model.d)
-            else:
-                s.max_steps = -1
-            why = _kernel.lib.vr_segment(s)
-            if st.indices is not None:
-                for log in logs:
-                    log.size += s.updates - start
-            if why != _kernel.lib.VR_FULL:
-                break
-        for k, a in zip(names, state):
-            setattr(est, k, a)
-        st.counter.count = s.count
-        self.idx._ctr, self.snap._ctr = s.idx_rng[2], s.snap_rng[2]
-        if self.bern is not None:
-            self.bern += bytes(s.updates - updates)
-        if why == _kernel.lib.VR_DIVERGED:
-            raise DivergenceError("iterate norm exploded", s.updates)
-        return s.updates, s.inner
 
 
 def run(model, config: OptimizerConfig) -> RunResult:
@@ -660,7 +575,7 @@ def run(model, config: OptimizerConfig) -> RunResult:
     keep_restart = keep_out and outer
     back = algo == "L2S-SC" and config.step_back
 
-    seg = None if engine(model, algo) == "python" else _Segments(
+    seg = None if engine(model, algo) == "python" else _kernel.Segments(
         model, st, est, table, sched, m if coin else 0,
         -1 if algo == "SGD" else period, u_cap, bern)
     keep = x_out = None
@@ -719,131 +634,3 @@ def run(model, config: OptimizerConfig) -> RunResult:
     return st.finish(x_out, updates,
                      None if bern is None else np.array(bern, dtype=np.uint8),
                      est.kind, "python" if seg is None else "compiled")
-
-
-# --------------------------------------------------------------------------
-# Step-size planning: certified step sizes and convergence certificates.
-# --------------------------------------------------------------------------
-
-REGIMES = ("strongly-convex", "convex-n-independent", "convex-n-dependent",
-           "nonconvex")
-
-
-@dataclass(frozen=True)
-class PlannedStep:
-    eta: float
-    certificate: dict
-    valid: bool
-
-
-def c_eta(eta: float, L: float) -> float:
-    """Convex-regime margin 1 - eta*L / (2 - eta*L); positive iff eta < 1/L."""
-    return 1.0 - eta * L / (2.0 - eta * L)
-
-
-def eta_max_nonconvex(m: int, L: float) -> float:
-    """Largest step size with m*eta^2*L^2 + eta*L - 1 <= 0:
-    (sqrt(4m+1) - 1) / (2mL)."""
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    return (math.sqrt(4.0 * m + 1.0) - 1.0) / (2.0 * m * L)
-
-
-def theta_strongly_convex(eta: float, L: float, mu: float,
-                          per_component: bool = True) -> float:
-    """Per-inner-step contraction factor of the estimator norm.
-
-    per_component=True assumes every f_i is mu-strongly convex:
-        theta = 1 - 2*eta*L / (1 + kappa).
-    Otherwise only F is strongly convex:
-        theta = 1 - (2/(eta*L) - 1) * mu^2 * eta^2.
-    """
-    if mu <= 0:
-        raise ConfigError("strongly convex certificates require mu > 0")
-    if per_component:
-        kappa = L / mu
-        return 1.0 - 2.0 * eta * L / (1.0 + kappa)
-    return 1.0 - (2.0 / (eta * L) - 1.0) * mu * mu * eta * eta
-
-
-def lambda_last_iterate(eta: float, L: float, theta: float, m: int) -> float:
-    """Per-outer-loop decay certificate of last-iterate SARAH:
-    2*eta*L/(2 - eta*L) + (2 + 2*eta*L) * theta^m."""
-    return 2.0 * eta * L / (2.0 - eta * L) + (2.0 + 2.0 * eta * L) * theta ** m
-
-
-def lambda_loopless_sc(eta: float, L: float, theta: float, m: int) -> float:
-    """Per-snapshot-epoch decay certificate of the step-back loopless variant:
-    2*eta*L/(2 - eta*L)
-      + (2 + 2*eta*L)/(m-1) * theta*(1 - 1/m) / (1 - theta*(1 - 1/m))."""
-    if m < 2:
-        raise ConfigError("the epoch certificate requires m >= 2")
-    tq = theta * (1.0 - 1.0 / m)
-    if tq >= 1.0:
-        return math.inf
-    return (2.0 * eta * L / (2.0 - eta * L)
-            + (2.0 + 2.0 * eta * L) / (m - 1.0) * tq / (1.0 - tq))
-
-
-def sigma_geometric(eta: float, L_eff: float, mu: float, m: int) -> float:
-    """Uniform-restart decay certificate 1/(mu*eta*(m+1)) + eta*L/(2 - eta*L);
-    pass L_eff = L for uniform sampling, L_eff = L_bar for importance
-    sampling."""
-    if mu <= 0:
-        raise ConfigError("sigma certificate requires mu > 0")
-    return 1.0 / (mu * eta * (m + 1)) + eta * L_eff / (2.0 - eta * L_eff)
-
-
-def plan_step_size(model, algorithm: str, regime: str, m: int) -> PlannedStep:
-    """Concrete certified step size plus the certificate backing it.
-
-    strongly-convex        eta = 0.5/L (0.5/L_bar for D2S); certificate is the
-                           per-epoch decay factor, valid iff < 1
-    convex-n-independent   eta = 0.5/L, certificate C_eta = 2/3
-    convex-n-dependent     eta at the nonconvex maximum ~ 1/(L sqrt(m))
-    nonconvex              same eta; certificate is the quadratic slack
-                           1 - eta*L - m*(eta*L)^2 >= 0
-    """
-    if regime not in REGIMES:
-        raise ConfigError(f"unknown regime {regime!r}")
-    L, L_bar, mu = model.L, model.L_bar, model.mu
-
-    if regime == "strongly-convex":
-        if mu <= 0:
-            raise ConfigError("strongly-convex plan requires mu > 0")
-        if algorithm == "D2S":
-            eta = 0.5 / L_bar
-            sig = sigma_geometric(eta, L_bar, mu, m)
-            return PlannedStep(eta, {"sigma_m": sig, "kappa_bar": L_bar / mu},
-                               valid=sig < 1.0)
-        eta = 0.5 / L
-        theta = theta_strongly_convex(eta, L, mu, per_component=True)
-        if algorithm == "SARAH":
-            sig = sigma_geometric(eta, L, mu, m)
-            return PlannedStep(eta, {"sigma_m": sig, "theta": theta},
-                               valid=sig < 1.0)
-        if algorithm == "SARAH-LI":
-            lam = lambda_last_iterate(eta, L, theta, m)
-            return PlannedStep(eta, {"lambda_m": lam, "theta": theta},
-                               valid=lam < 1.0)
-        if algorithm == "L2S-SC":
-            lam = lambda_loopless_sc(eta, L, theta, m)
-            return PlannedStep(eta, {"lambda": lam, "theta": theta},
-                               valid=lam < 1.0)
-        raise ConfigError(f"no strongly-convex certificate for {algorithm}")
-
-    if algorithm != "L2S":
-        raise ConfigError(f"regime {regime!r} certifies L2S only")
-    if regime == "convex-n-independent":
-        eta = 0.5 / L
-        ce = c_eta(eta, L)
-        return PlannedStep(eta, {"C_eta": ce}, valid=ce > 0.0)
-    if regime == "convex-n-dependent":
-        eta = eta_max_nonconvex(m, L)
-        ce = c_eta(eta, L)
-        return PlannedStep(eta, {"C_eta": ce}, valid=ce > 0.0)
-    # nonconvex
-    eta = eta_max_nonconvex(m, L)
-    slack = 1.0 - eta * L - m * (eta * L) ** 2
-    return PlannedStep(eta, {"eta_max": eta, "quadratic_slack": slack},
-                       valid=slack >= -1e-12)

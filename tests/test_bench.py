@@ -232,6 +232,31 @@ eta_over_L = 0.5
 """ % (tmp_path / "out"))
         assert cli_main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("m = n", "m = abc", "[optimizer.main] m: malformed value 'abc'"),
+        ("seeds = 0", "seeds = 1 x", "[experiment] seeds: malformed value"),
+        ("n = 60", "n = x", "[dataset] n: malformed value 'x'"),
+        ("eta_over_L = 0.5", "eta = x", "[optimizer.main] eta: malformed"),
+        ("lam = 0.02", "lam = 1e", "[loss] lam: malformed value '1e'"),
+        ("passes = 8", "passes = 8.5", "[experiment] passes: malformed"),
+        ("seeds = 0", "seeds = 0\nrecord_every_pass = x",
+         "[experiment] record_every_pass: malformed"),
+        ("seeds = 0", "seeds = 0\nrecord_every_pass = nan",
+         "record_every_pass must be positive and finite"),
+        ("seeds = 0", "seeds = 0\nrecord_every_pass = inf",
+         "record_every_pass must be positive and finite"),
+    ])
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, old,
+                                              new, message):
+        cfg = tmp_path / "exp.ini"
+        write_demo_config(cfg, tmp_path / "out")
+        text = cfg.read_text()
+        assert old in text
+        cfg.write_text(text.replace(old, new))
+        assert cli_main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_strict_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         write_demo_config(cfg, tmp_path / "out", extra="")

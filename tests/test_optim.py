@@ -66,6 +66,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(OptimizerConfig("GD", eta=0.0, T=3))
 
+    @pytest.mark.parametrize("cadence", [math.nan, math.inf, -math.inf,
+                                         0.0, -1.0])
+    def test_bad_record_cadence(self, sc_model, cadence):
+        config = OptimizerConfig("GD", eta=0.1, T=3,
+                                 record_every_pass=cadence)
+        with pytest.raises(ConfigError, match="record_every_pass"):
+            run(sc_model, config)
+
     @pytest.mark.parametrize("algo,extra", [
         ("SVRG", dict(m=2, S=1)), ("SARAH", dict(m=2, S=1)),
         ("SARAH-LI", dict(m=2, S=1)), ("D2S", dict(m=2, S=1)),

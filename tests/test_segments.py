@@ -5,6 +5,7 @@ the fallback when the kernel is missing, and the build cache."""
 import dataclasses
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -330,6 +331,18 @@ def test_build_compiles_every_source(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match="not compiled"):
         _kernel.build(_kernel.module_name(), tmp_path)
     assert commands[0][-len(_kernel.SOURCES):] == list(map(str, _kernel.SOURCES))
+
+
+C_INTERFACE = re.compile(r"from_buffer|ffi\.new|ffi\.NULL|lib\.vr_|lib\.VR_")
+
+
+def test_only_the_kernel_module_builds_c_objects():
+    """``_kernel.py`` is the one module that creates or passes cffi objects;
+    the others call its functions and classes."""
+    found = {path.name: sorted(set(C_INTERFACE.findall(path.read_text())))
+             for path in sorted(_kernel.HERE.glob("*.py"))}
+    assert found.pop("_kernel.py")  # the pattern does match the owner
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def _built_module():
