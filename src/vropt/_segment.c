@@ -158,8 +158,6 @@ int vr_segment(vr_seg *s)
         double nx;
         if (s->updates == s->u_cap)
             return VR_HORIZON;
-        if (s->updates == 0)
-            return VR_FIRST;
         if (s->rec_next >= 0 && next >= s->rec_next)
             return VR_RECORD;
         if (s->ifo_cap >= 0 && next >= s->ifo_cap)

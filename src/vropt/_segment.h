@@ -5,7 +5,6 @@
 /* why vr_segment stopped; every reason but VR_HORIZON, VR_FULL and
    VR_DIVERGED leaves the next pass, undrawn, to the Python loop */
 #define VR_HORIZON 0    /* updates reached u_cap */
-#define VR_FIRST 1      /* the next update is the first (descent check) */
 #define VR_RECORD 2     /* the next update reaches a trace threshold */
 #define VR_BUDGET 3     /* ... or the IFO budget */
 #define VR_KEEP 4       /* ... or is the restart point x_a */

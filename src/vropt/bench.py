@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigError, DivergenceError
 from .model import LogisticModel, NonconvexLogisticModel
-from .optim import OptimizerConfig, engine, inner_step, run
+from .optim import OptimizerConfig, Trace, engine, inner_step, run
 from .planner import eta_max_nonconvex, plan_step_size
 
 CSV_SCHEMA = "trace-v1"
@@ -121,13 +121,8 @@ class OptimizerSetup:
         kwargs = dict(algorithm=self.algorithm, eta=eta, m=m, seed=seed,
                       record_every_pass=record_every_pass, max_ifo=budget)
         if self.algorithm in ("GD", "SGD", "L2S"):
-            if self.algorithm == "GD":
-                T = passes
-            elif self.algorithm == "SGD":
-                T = budget
-            else:
-                T = budget  # safe cap; the IFO budget stops the loop
-            kwargs["T"] = T
+            # GD: one step per pass; SGD, L2S: the IFO budget ends the run
+            kwargs["T"] = passes if self.algorithm == "GD" else budget
         elif self.algorithm == "L2S-SC":
             # epoch lengths are random; let the IFO budget terminate the run
             kwargs["S"] = budget
@@ -150,6 +145,8 @@ class ExperimentSpec:
     def validate(self):
         if not self.optimizers:
             raise ConfigError("experiment needs at least one optimizer")
+        if not self.seeds:
+            raise ConfigError("experiment needs at least one seed")
         if self.passes < 1:
             raise ConfigError("pass budget must be >= 1")
         labels = [o.label for o in self.optimizers]
@@ -162,12 +159,9 @@ class CellResult:
     label: str
     algorithm: str
     seed: int
-    diverged: bool
-    final_grad_sq: float
-    final_subopt: float
-    total_ifo: int
     wall_time: float
-    csv_path: str
+    trace: Trace | None         # None if the run diverged
+    total_ifo: int
     inner_step: str             # "dense" or "sparse" (vropt.optim.inner_step)
     engine: str                 # "compiled" or "python" (vropt.optim.engine)
 
@@ -209,20 +203,22 @@ def read_trace_csv(path):
     return schema, cols
 
 
-def _cell(model, spec: ExperimentSpec, idx: int, seed: int):
-    """One grid cell: (idx, seed, wall seconds, trace or None if the run
-    diverged, IFO total, inner step kind, engine)."""
-    config = spec.optimizers[idx].build_config(model, spec.passes, seed,
-                                               spec.record_every_pass)
+def _cell(model, spec: ExperimentSpec, idx: int, seed: int) -> CellResult:
+    """One grid cell: optimizer ``idx`` of the spec run with ``seed``."""
+    setup = spec.optimizers[idx]
+    config = setup.build_config(model, spec.passes, seed,
+                                spec.record_every_pass)
     paths = (inner_step(model, config.algorithm),
              engine(model, config.algorithm))
     t0 = time.perf_counter()
     try:
         result = run(model, config)
     except DivergenceError:
-        return idx, seed, time.perf_counter() - t0, None, 0, *paths
-    return (idx, seed, time.perf_counter() - t0, result.trace,
-            result.total_ifo, result.inner_step, result.engine)
+        return CellResult(setup.label, setup.algorithm, seed,
+                          time.perf_counter() - t0, None, 0, *paths)
+    return CellResult(setup.label, setup.algorithm, seed,
+                      time.perf_counter() - t0, result.trace,
+                      result.total_ifo, result.inner_step, result.engine)
 
 
 _worker = None  # (spec, model) of this pool worker, set by _load_worker
@@ -253,37 +249,23 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
                                  mp_context=multiprocessing.get_context("spawn"),
                                  initializer=_load_worker,
                                  initargs=(spec,)) as pool:
-            raw = list(pool.map(_worker_cell, jobs))
+            cells = list(pool.map(_worker_cell, jobs))
     else:
         model = spec.loss.build(spec.dataset.load())
-        raw = [_cell(model, spec, i, seed) for i, seed in jobs]
+        cells = [_cell(model, spec, i, seed) for i, seed in jobs]
 
     # global best objective value anchors the suboptimality column
     f_best = math.inf
-    for _, _, _, trace, *_ in raw:
-        if trace is not None and len(trace):
-            f_best = min(f_best, float(trace.objective.min()))
+    for c in cells:
+        if c.trace is not None and len(c.trace):
+            f_best = min(f_best, float(c.trace.objective.min()))
     if not math.isfinite(f_best):
         f_best = 0.0
 
-    cells = []
-    for idx, seed, wall, trace, total_ifo, kind, path in raw:
-        setup = spec.optimizers[idx]
-        csv_path = out / f"{setup.label}_seed{seed}.csv"
-        diverged = trace is None
-        if not diverged:
-            write_trace_csv(csv_path, setup.algorithm, seed, trace, f_best)
-        ended = not diverged and len(trace) > 0
-        fin_g = float(trace.grad_sq[-1]) if ended else math.inf
-        fin_f = float(trace.objective[-1]) if ended else math.inf
-        cells.append(CellResult(
-            label=setup.label, algorithm=setup.algorithm, seed=seed,
-            diverged=diverged,
-            final_grad_sq=fin_g,
-            final_subopt=(fin_f - f_best) if math.isfinite(fin_f) else math.inf,
-            total_ifo=total_ifo, wall_time=wall, inner_step=kind, engine=path,
-            csv_path=str(csv_path) if not diverged else "",
-        ))
+    for c in cells:
+        if c.trace is not None:
+            write_trace_csv(out / f"{c.label}_seed{c.seed}.csv", c.algorithm,
+                            c.seed, c.trace, f_best)
 
     summary = _summarize(spec, cells, f_best)
     (out / "summary.json").write_text(
@@ -305,12 +287,15 @@ def _summarize(spec, cells, f_best) -> dict:
         per_label.setdefault(c.label, []).append(c)
     labels = {}
     for label, group in sorted(per_label.items()):
-        finite = [c.final_grad_sq for c in group if not c.diverged]
+        final = [float(c.trace.grad_sq[-1])
+                 if c.trace is not None and len(c.trace) else math.inf
+                 for c in group]
+        finite = [g for c, g in zip(group, final) if c.trace is not None]
         labels[label] = {
             "algorithm": group[0].algorithm,
             "seeds": [c.seed for c in group],
-            "diverged_seeds": [c.seed for c in group if c.diverged],
-            "final_grad_sq_per_seed": [c.final_grad_sq for c in group],
+            "diverged_seeds": [c.seed for c in group if c.trace is None],
+            "final_grad_sq_per_seed": final,
             "mean_final_grad_sq": (float(np.mean(finite)) if finite
                                    else math.inf),
             "ifo_total_per_seed": [c.total_ifo for c in group],
@@ -326,7 +311,7 @@ def _summarize(spec, cells, f_best) -> dict:
         "pass_budget": spec.passes,
         "labels": labels,
         "best_label_per_algorithm": best,
-        "any_diverged": any(c.diverged for c in cells),
+        "any_diverged": any(c.trace is None for c in cells),
         "csv_schema": CSV_SCHEMA,
     }
 
@@ -348,7 +333,7 @@ def emit_plot(trace_paths, out_path, style: str = "grad",
         series.append((label, cols["effective_pass"], ys))
     ylabel = "||grad F(x)||^2" if style == "grad" else "F(x) - F_best"
     svg = render_line_plot(series, xlabel="effective passes (IFO / n)",
-                           ylabel=ylabel, title=title, log_y=True)
+                           ylabel=ylabel, title=title)
     Path(out_path).write_text(svg)
     return str(out_path)
 

@@ -48,7 +48,7 @@ def _parse_dataset(cp: configparser.ConfigParser) -> bench.DatasetSpec:
     if not cp.has_section("dataset"):
         raise ConfigError("config needs a [dataset] section")
     sec = cp["dataset"]
-    if sec.getboolean("synthetic", fallback=False):
+    if _value(sec, "synthetic", lambda _: sec.getboolean("synthetic"), False):
         return bench.DatasetSpec(synthetic=SyntheticSpec(
             n=_value(sec, "n", int),
             d=_value(sec, "d", int),

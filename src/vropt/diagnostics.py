@@ -17,6 +17,7 @@ from .sampling import Rng, snapshot_event_probability
 
 _STREAM_FD = 30
 _STREAM_MSE = 31
+_MARGIN_SIGMAS = 4.0  # an MSE check passes within this many std errors
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +139,12 @@ class MonteCarloReport:
 
 
 def estimate_mse_bound(model, regime: str, eta: float, m: int, horizon: int,
-                       resamples: int = 2000, seed: int = 0,
-                       x0: np.ndarray | None = None,
-                       margin_sigmas: float = 4.0) -> list[MonteCarloReport]:
+                       resamples: int = 2000,
+                       seed: int = 0) -> list[MonteCarloReport]:
     """Estimate E[||grad F(x_t) - v_t||^2 | snapshot at 0, none since] by
     resampling the index sequence, and compare against the regime's bound.
+    The start point x_0 is uniform on [-1, 1]^d, drawn from stream 31 of
+    `seed` ahead of the index resamples.
 
     Conditioned on the schedule event, the remaining randomness is the i.i.d.
     index draws, so forcing the no-snapshot recursion and resampling indices
@@ -169,10 +171,7 @@ def estimate_mse_bound(model, regime: str, eta: float, m: int, horizon: int,
     del m  # the conditional bound is schedule-free
 
     rng = Rng(seed, stream=_STREAM_MSE)
-    if x0 is None:
-        x0 = np.array([2.0 * rng.random() - 1.0 for _ in range(model.d)])
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
+    x0 = np.array([2.0 * rng.random() - 1.0 for _ in range(model.d)])
 
     n, R = model.n, resamples
     v0 = model.full_gradient(x0)
@@ -183,7 +182,7 @@ def estimate_mse_bound(model, regime: str, eta: float, m: int, horizon: int,
     X_cur = np.tile(x1, (R, 1))
     V = np.tile(v0, (R, 1))
     vsq_hist = [np.full(R, g0_sq)]          # ||v_tau||^2, tau = 0..t-1
-    reports = [MonteCarloReport("mse[t=0]", 0.0, 0.0, 0.0, margin_sigmas,
+    reports = [MonteCarloReport("mse[t=0]", 0.0, 0.0, 0.0, _MARGIN_SIGMAS,
                                 R, passed=True)]  # v_0 is the snapshot itself
 
     coef = eta * L / (2.0 - eta * L)
@@ -209,9 +208,9 @@ def estimate_mse_bound(model, regime: str, eta: float, m: int, horizon: int,
             estimate=est,
             std_error=se,
             bound=bound,
-            margin_sigmas=margin_sigmas,
+            margin_sigmas=_MARGIN_SIGMAS,
             samples=R,
-            passed=est <= bound + margin_sigmas * se,
+            passed=est <= bound + _MARGIN_SIGMAS * se,
         ))
         vsq_hist.append(np.einsum("ij,ij->i", V, V))
         X_prev, X_cur = X_cur, X_cur - eta * V

@@ -312,9 +312,9 @@ class _Run:
 
 
 # --------------------------------------------------------------------------
-# Estimator states.  Each has snapshot(x, v) (restart at x with v = grad F(x);
-# all but the anchored state then take the step x - eta v), step(i),
-# materialise(prev=False) (x_t, or x_{t-1}), sq_norm() (||x_t||^2) and kind.
+# Estimator states: step(i), materialise(prev=False) (x_t, or x_{t-1}),
+# sq_norm() (||x_t||^2), kind and, but for SGD's, snapshot(x, v) (restart at x
+# with v = grad F(x); all but the anchored state then step to x - eta v).
 # --------------------------------------------------------------------------
 
 _LAZY_ALGORITHMS = ("SARAH", "SARAH-LI", "D2S", "L2S", "L2S-SC")
@@ -356,9 +356,6 @@ class _Plain:
 
     def __init__(self, model, eta, counter, x0=None):
         self.model, self.eta, self.counter, self.cur = model, eta, counter, x0
-
-    def snapshot(self, x, v):
-        self.cur = x - self.eta * v
 
     def step(self, i):
         g = self.model.component_gradient(i, self.cur, self.counter)

@@ -12,12 +12,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 46
+_WIDTH, _HEIGHT = 680, 460
 
 
-def _nice_linear_ticks(lo: float, hi: float, target: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
+def _nice_linear_ticks(lo: float, hi: float):
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
@@ -40,26 +39,20 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def render_line_plot(series, *, xlabel: str, ylabel: str, title: str = "",
-                     width: int = 680, height: int = 460,
-                     log_y: bool = True) -> str:
+def render_line_plot(series, *, xlabel: str, ylabel: str,
+                     title: str = "") -> str:
     """series: iterable of (label, x array, y array).  Returns SVG text.
 
-    With log_y, non-positive y values are dropped (cannot be drawn) and the
-    y axis carries ticks at powers of ten.
+    The y axis is logarithmic with ticks at powers of ten; non-positive y
+    values are dropped (cannot be drawn).
     """
     series = [(str(lab), list(map(float, xs)), list(map(float, ys)))
               for lab, xs, ys in series]
     if not series or all(len(xs) == 0 for _, xs, _ in series):
         raise ConfigError("nothing to plot")
 
-    cleaned = []
-    for lab, xs, ys in series:
-        if log_y:
-            pts = [(x, y) for x, y in zip(xs, ys) if y > 0.0]
-        else:
-            pts = list(zip(xs, ys))
-        cleaned.append((lab, pts))
+    cleaned = [(lab, [(x, y) for x, y in zip(xs, ys) if y > 0.0])
+               for lab, xs, ys in series]
     all_pts = [p for _, pts in cleaned for p in pts]
     if not all_pts:
         raise ConfigError("no drawable points (all y <= 0 on a log axis)")
@@ -68,47 +61,37 @@ def render_line_plot(series, *, xlabel: str, ylabel: str, title: str = "",
     x_hi = max(p[0] for p in all_pts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if log_y:
-        y_lo = math.floor(math.log10(min(p[1] for p in all_pts)))
-        y_hi = math.ceil(math.log10(max(p[1] for p in all_pts)))
-        if y_hi == y_lo:
-            y_hi += 1
-    else:
-        y_lo = min(p[1] for p in all_pts)
-        y_hi = max(p[1] for p in all_pts)
-        if y_hi == y_lo:
-            y_hi += 1.0
+    y_lo = math.floor(math.log10(min(p[1] for p in all_pts)))
+    y_hi = math.ceil(math.log10(max(p[1] for p in all_pts)))
+    if y_hi == y_lo:
+        y_hi += 1
 
-    px_w = width - _MARGIN_L - _MARGIN_R
-    px_h = height - _MARGIN_T - _MARGIN_B
+    px_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    px_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * px_w
 
     def sy(y):
-        yy = math.log10(y) if log_y else y
-        return _MARGIN_T + (y_hi - yy) / (y_hi - y_lo) * px_h
+        return _MARGIN_T + (y_hi - math.log10(y)) / (y_hi - y_lo) * px_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{px_w}" '
         f'height="{px_h}" fill="none" stroke="#222"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>')
 
     # y ticks
-    if log_y:
-        decades = list(range(int(y_lo), int(y_hi) + 1))
-        step = max(1, len(decades) // 12 + (1 if len(decades) > 12 else 0))
-        ticks_y = decades[::step]
-        tick_vals = [(10.0 ** d, f"1e{d:+03d}" if d else "1") for d in ticks_y]
-    else:
-        tick_vals = [(v, _fmt(v)) for v in _nice_linear_ticks(y_lo, y_hi)]
+    decades = list(range(int(y_lo), int(y_hi) + 1))
+    step = max(1, len(decades) // 12 + (1 if len(decades) > 12 else 0))
+    tick_vals = [(10.0 ** d, f"1e{d:+03d}" if d else "1")
+                 for d in decades[::step]]
     for v, lab in tick_vals:
         y = sy(v)
         parts.append(f'<line x1="{_MARGIN_L - 4}" y1="{y:.2f}" '
@@ -129,7 +112,7 @@ def render_line_plot(series, *, xlabel: str, ylabel: str, title: str = "",
                      f'font-size="10">{_fmt(v)}</text>')
 
     # axis labels
-    parts.append(f'<text x="{_MARGIN_L + px_w / 2}" y="{height - 8}" '
+    parts.append(f'<text x="{_MARGIN_L + px_w / 2}" y="{_HEIGHT - 8}" '
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'font-size="12">{xlabel}</text>')
     parts.append(f'<text x="16" y="{_MARGIN_T + px_h / 2}" '

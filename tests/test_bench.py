@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from vropt import bench
+from vropt.cli import load_experiment_spec
 from vropt.cli import main as cli_main
 from vropt.data import SyntheticSpec, generate_synthetic, write_libsvm
 from vropt.errors import ConfigError
+from vropt.model import NonconvexLogisticModel
+from vropt.planner import eta_max_nonconvex
 from vropt.svgplot import render_line_plot
 
 from helpers import make_sparse_dataset
@@ -39,6 +42,11 @@ class TestExperimentValidation:
         setup = bench.OptimizerSetup(algorithm="GD", label="x", eta_over_L=0.5)
         with pytest.raises(ConfigError):
             bench.run_experiment(sc_spec(tmp_path, [setup, setup]))
+
+    def test_empty_seed_list(self, tmp_path):
+        setup = bench.OptimizerSetup(algorithm="GD", label="x", eta_over_L=0.5)
+        with pytest.raises(ConfigError, match="at least one seed"):
+            bench.run_experiment(sc_spec(tmp_path, [setup], seeds=()))
 
     def test_eta_choices_exclusive(self, tmp_path):
         setup = bench.OptimizerSetup(algorithm="GD", label="x",
@@ -245,6 +253,9 @@ eta_over_L = 0.5
          "record_every_pass must be positive and finite"),
         ("seeds = 0", "seeds = 0\nrecord_every_pass = inf",
          "record_every_pass must be positive and finite"),
+        ("synthetic = true", "synthetic = maybe",
+         "[dataset] synthetic: malformed value 'maybe'"),
+        ("seeds = 0", "seeds =", "experiment needs at least one seed"),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, old,
                                               new, message):
@@ -256,6 +267,56 @@ eta_over_L = 0.5
         assert cli_main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_run_nonconvex_grid(self, tmp_path):
+        # an integer m, a planned (nonconvex) and an L_bar-relative step
+        # size, and an SGD cell on the nonconvex loss
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"""
+[experiment]
+passes = 4
+seeds = 0
+out = {tmp_path / "out"}
+
+[dataset]
+synthetic = true
+n = 60
+d = 5
+seed = 42
+
+[loss]
+kind = nonconvex-logistic
+alpha = 0.5
+
+[optimizer.l2s]
+algorithm = L2S
+regime = nonconvex
+m = 5
+
+[optimizer.sarah]
+algorithm = SARAH
+eta_over_Lbar = 0.5
+m = 5
+
+[optimizer.sgd]
+algorithm = SGD
+eta_over_Lbar = 0.5
+""")
+        assert cli_main(["run", str(cfg)]) == 0
+        spec = load_experiment_spec(str(cfg))
+        model = spec.loss.build(spec.dataset.load())
+        assert isinstance(model, NonconvexLogisticModel)
+        l2s, sarah, sgd = (setup.build_config(model, spec.passes, 0, 1.0)
+                           for setup in spec.optimizers)
+        assert (l2s.m, l2s.eta) == (5, eta_max_nonconvex(5, model.L))
+        assert (sarah.m, sarah.eta) == (5, 0.5 / model.L_bar)
+        assert (sgd.m, sgd.eta) == (60, 0.5 / model.L_bar)
+        assert sgd.T == sgd.max_ifo == 4 * 60
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert not summary["any_diverged"]
+        assert summary["labels"]["sgd"]["ifo_total_per_seed"] == [240]
+        for label in ("l2s", "sarah", "sgd"):
+            assert (tmp_path / "out" / f"{label}_seed0.csv").exists()
 
     def test_strict_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "exp.ini"

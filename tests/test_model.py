@@ -86,6 +86,18 @@ class TestComponentGradient:
             convex_model.objective(x)
 
 
+    @pytest.mark.parametrize("shape", [(4,), (6,), (1, 5), ()])
+    def test_wrong_shape_x_rejected(self, convex_model, shape):
+        assert convex_model.d == 5
+        x = np.zeros(shape)
+        with pytest.raises(ContractError):
+            convex_model.component_gradient(0, x)
+        with pytest.raises(ContractError):
+            convex_model.full_gradient(x)
+        with pytest.raises(ContractError):
+            convex_model.objective(x)
+
+
 class TestFullGradient:
     def test_n1_identical_to_component(self):
         model = LogisticModel(single_row_dataset([2.0, -1.0, 0.5]), lam=0.3)

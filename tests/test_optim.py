@@ -442,6 +442,31 @@ class TestPlanner:
         assert ndep.eta == eta_max_nonconvex(16, convex_model.L)
         assert ndep.valid
 
+    @pytest.mark.parametrize("m", [5, 1000])
+    @pytest.mark.parametrize("algorithm", ["SARAH", "SARAH-LI", "L2S-SC"])
+    def test_strongly_convex_certificates(self, sc_model, algorithm, m):
+        # kappa = 41: every certificate is above 1 at m = 5, below at 1000
+        L, mu = sc_model.L, sc_model.mu
+        plan = plan_step_size(sc_model, algorithm, "strongly-convex", m)
+        eta = 0.5 / L
+        theta = theta_strongly_convex(eta, L, mu)
+        key, expected = {
+            "SARAH": ("sigma_m", sigma_geometric(eta, L, mu, m)),
+            "SARAH-LI": ("lambda_m", lambda_last_iterate(eta, L, theta, m)),
+            "L2S-SC": ("lambda", lambda_loopless_sc(eta, L, theta, m)),
+        }[algorithm]
+        assert plan.eta == eta
+        assert plan.certificate == {key: expected, "theta": theta}
+        assert plan.valid == (expected < 1.0)
+        assert plan.valid == (m == 1000)
+
+    @pytest.mark.parametrize("m", [1, 5, 20])
+    def test_nonconvex_regime(self, nonconvex_model, m):
+        plan = plan_step_size(nonconvex_model, "L2S", "nonconvex", m)
+        assert plan.eta == eta_max_nonconvex(m, nonconvex_model.L)
+        assert plan.certificate["eta_max"] == plan.eta
+        assert plan.valid
+
     def test_mu_zero_rejected_for_sc_plan(self, convex_model):
         with pytest.raises(ConfigError):
             plan_step_size(convex_model, "SARAH", "strongly-convex", 5)
