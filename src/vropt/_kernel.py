@@ -25,8 +25,8 @@ before any child process starts.
 dot product has equalled numpy's ``a @ b`` on random vectors of lengths
 1-130, its LIBSVM reader has read a list of hard decimals as ``float()``
 does, its expit has equalled ``1 / (1 + math.exp(-t))`` on the edges of
-exp's range and its CSR products have equalled a plain loop's sums: every
-bit-identity claim of the compiled paths rests on these.
+exp's range and its CSR products and data gradient have equalled plain
+loops: every bit-identity claim of the compiled paths rests on these.
 """
 
 from __future__ import annotations
@@ -225,16 +225,42 @@ class CSRView:
         a matrix of k columns, in the order of scipy's ``csr_matrix.dot``
         (see ``_oracle.c``)."""
         n, d = self.shape
-        x = np.ascontiguousarray(x, np.float64)
         rows, cols = (d, n) if transpose else (n, d)
-        if x.ndim not in (1, 2) or x.shape[0] != cols:
-            raise ValueError(f"dimension mismatch: {x.shape} against {cols} "
-                             "columns")
+        x, k = _operand(x, cols)
         out = np.empty((rows,) + x.shape[1:])
         fn = lib.vr_csr_tdot if transpose else lib.vr_csr_dot
-        fn(self._csr, x.shape[1] if x.ndim == 2 else 1,
-           ffi.from_buffer("double[]", x), ffi.from_buffer("double[]", out))
+        fn(self._csr, k, ffi.from_buffer("double[]", x),
+           ffi.from_buffer("double[]", out))
         return out
+
+    def data_gradient(self, b, x):
+        """``a.T @ c`` for ``c = ((-b) * expit(-(b * (a @ x)))) / n``, with
+        ``b`` of length n and ``x`` a vector or a matrix of k columns (then
+        ``b`` multiplies by row): the data term of the logistic gradient at
+        each column of ``x``, in one kernel call with the operations and
+        order of that numpy and scipy composition (see ``_oracle.c``)."""
+        n, d = self.shape
+        x, k = _operand(x, d)
+        b = np.ascontiguousarray(b, np.float64)
+        if b.shape != (n,):
+            raise ValueError(f"dimension mismatch: {b.shape} labels against "
+                             f"{n} rows")
+        out = np.empty((d,) + x.shape[1:])
+        lib.vr_data_grad(self._csr, ffi.from_buffer("double[]", b), k,
+                         ffi.from_buffer("double[]", x),
+                         ffi.from_buffer("double[]", np.empty(k)),
+                         ffi.from_buffer("double[]", out))
+        return out
+
+
+def _operand(x, rows):
+    """``x`` as a C-ordered float64 vector or matrix of ``rows`` rows, and
+    its number of columns (1 for a vector)."""
+    x = np.ascontiguousarray(x, np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != rows:
+        raise ValueError(f"dimension mismatch: {x.shape} against {rows} "
+                         "columns")
+    return x, x.shape[1] if x.ndim == 2 else 1
 
 
 def expit(t):
@@ -350,44 +376,74 @@ HARD_DECIMALS = (
 EXPIT_EDGES = (0.0, -0.0, 709.8, -709.8, 745.0, -745.0, 800.0, -800.0)
 
 
+def _expit_reference(t: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:  # exp(-t) is inf
+        return 0.0
+
+
 def _expit_ok(rng) -> bool:
     t = np.concatenate([EXPIT_EDGES, 40.0 * rng.standard_normal(1000)])
-    want = []
-    for v in t.tolist():
-        try:
-            want.append(1.0 / (1.0 + math.exp(-v)))
-        except OverflowError:  # exp(-v) is inf
-            want.append(0.0)
+    want = [_expit_reference(v) for v in t.tolist()]
     return expit(t).tobytes() == np.array(want).tobytes()
 
 
 def _products_ok(rng) -> bool:
-    """The CSR products against a plain loop's sums, on a 4 by 5 matrix with
-    an empty row, for 1, 2 and 5 vectors (5: a block of _oracle.c's LANES
-    and one more).  Row 2 and column 0 hold 2^53, 1 and -2^53 in orders
-    where a sum taken backwards gives 1 instead of 0, and the first vector
-    is all ones; the others are random."""
+    """The CSR products and the data gradient against plain loops, on a 4 by
+    5 matrix with an empty row, for 1, 2 and 5 vectors (5: a block of
+    _oracle.c's LANES and one more).  Row 2 and column 0 hold 2^53, 1 and
+    -2^53 in orders where a sum taken backwards gives 1 instead of 0, and
+    the first vector is all ones; the others are random.  For the data
+    gradient the first vector's entry 3 is 0, so that row 0 sums to 1 and
+    its margin is its label.  The labels run through EXPIT_EDGES, values
+    where expit(-z) is subnormal (so that dividing it by n rounds, unlike
+    dividing -b expit(-z)) and random ones (with the edges alone, the
+    coefficients were so regular that a scatter in reverse row order gave
+    the same bits)."""
     big = 2.0 ** 53
     indptr, indices = [0, 2, 2, 5, 7], [0, 3, 0, 1, 4, 0, 2]
     values = [1.0, rng.standard_normal(), big, 1.0, -big, -big,
               rng.standard_normal()]
     a = CSRView(SimpleNamespace(indptr=np.array(indptr), shape=(4, 5),
                                 indices=np.array(indices), data=np.array(values)))
+    labels = (EXPIT_EDGES + (708.6, 709.3, 709.7)
+              + tuple(rng.standard_normal(3)))
+
+    def dot(x):
+        y = [[0.0] * x.shape[1] for _ in range(4)]
+        for i in range(4):
+            for p in range(indptr[i], indptr[i + 1]):
+                for j in range(x.shape[1]):
+                    y[i][j] += values[p] * float(x[indices[p], j])
+        return y
+
+    def tdot(c):
+        g = [[0.0] * len(c[0]) for _ in range(5)]
+        for i in range(4):
+            for p in range(indptr[i], indptr[i + 1]):
+                for j in range(len(c[0])):
+                    g[indices[p]][j] += values[p] * float(c[i][j])
+        return g
+
+    def same(got, want):
+        want = np.array(want)
+        return got.tobytes() == (want[:, 0] if got.ndim == 1 else want).tobytes()
+
     for k in (1, 2, 5):
         x, c = rng.standard_normal((5, k)), rng.standard_normal((4, k))
         x[:, 0] = c[:, 0] = 1.0
-        y, g = np.zeros((4, k)).tolist(), np.zeros((5, k)).tolist()
-        for i in range(4):
-            for p in range(indptr[i], indptr[i + 1]):
-                for j in range(k):
-                    y[i][j] += values[p] * float(x[indices[p], j])
-                    g[indices[p]][j] += values[p] * float(c[i, j])
-        y, g = np.array(y), np.array(g)
-        if k == 1:
-            x, c, y, g = x[:, 0], c[:, 0], y[:, 0], g[:, 0]
-        if (a.product(x).tobytes() != y.tobytes()
-                or a.product(c, transpose=True).tobytes() != g.tobytes()):
+        one = (lambda v: v[:, 0]) if k == 1 else (lambda v: v)
+        if not (same(a.product(one(x)), dot(x))
+                and same(a.product(one(c), transpose=True), tdot(c))):
             return False
+        x[3, 0] = 0.0
+        for shift in range(len(labels)):
+            b = [labels[(shift + i) % len(labels)] for i in range(4)]
+            want = tdot([[(-b[i] * _expit_reference(-(b[i] * s))) / 4
+                          for s in row] for i, row in enumerate(dot(x))])
+            if not same(a.data_gradient(b, one(x)), want):
+                return False
     return True
 
 

@@ -1,7 +1,8 @@
 /* The products and the sigmoid of vropt.model's full and bulk oracles, on
    A's CSR rows, with the arithmetic of the scipy code they replace (the
    model's fallback and reference), so that every oracle gives the same
-   bits on both paths.
+   bits on both paths.  The gradients take one call, vr_data_grad; the
+   objective and the component batch take vr_csr_dot and vr_expit.
 
    A X: scipy's csr_matvec and csr_matvecs sum row i term by term, in the
    row's order, starting from 0.0; so does vr_csr_dot.
@@ -83,4 +84,51 @@ void vr_expit(int64_t size, const double *t, double *out)
 {
     for (int64_t j = 0; j < size; j++)
         out[j] = 1.0 / (1.0 + exp(-t[j]));
+}
+
+/* ((-b) expit(-z)) / n for the margin z = b s of a row whose sum is s */
+static double coef(double b, double s, double n)
+{
+    const double t = -(b * s);
+    return (-b * (1.0 / (1.0 + exp(-t)))) / n;
+}
+
+/* G = A^T C with C = ((-b) expit(-Z)) / n and Z = b (A X), the data term of
+   the logistic gradient at each of X's k columns (X and G: d by k,
+   row-major), with the operations and order of the composition it
+   replaces (and vropt.model's scipy fallback keeps): vr_csr_dot, numpy's
+   b Z, -Z, vr_expit, -b e and / n, then vr_csr_tdot.  Row i's k sums
+   become its k coefficients in work (k doubles), which are scattered into
+   G before row i + 1 is read.  The rows are taken in order, so every sum
+   of A X and of A^T C has the same additions in the same order as in those
+   functions, and no n by k array of margins is ever held.  k = 1 keeps
+   its own plain loop, as in those functions. */
+void vr_data_grad(const vr_csr *a, const double *b, int64_t k,
+                  const double *restrict x, double *restrict work,
+                  double *restrict g)
+{
+    const int64_t *ptr = a->indptr, *col = a->indices;
+    const double *val = a->values;
+    const double n = (double)a->n;
+    memset(g, 0, (size_t)(a->d * k) * sizeof(double));
+    if (k == 1) {
+        for (int64_t i = 0; i < a->n; i++) {
+            double sum = 0.0;
+            for (int64_t p = ptr[i]; p < ptr[i + 1]; p++)
+                sum += val[p] * x[col[p]];
+            const double c = coef(b[i], sum, n);
+            for (int64_t p = ptr[i]; p < ptr[i + 1]; p++)
+                g[col[p]] += val[p] * c;
+        }
+        return;
+    }
+    for (int64_t i = 0; i < a->n; i++) {
+        memset(work, 0, (size_t)k * sizeof(double));
+        for (int64_t p = ptr[i]; p < ptr[i + 1]; p++)
+            axpy(k, val[p], x + col[p] * k, work);
+        for (int64_t j = 0; j < k; j++)
+            work[j] = coef(b[i], work[j], n);
+        for (int64_t p = ptr[i]; p < ptr[i + 1]; p++)
+            axpy(k, val[p], work, g + col[p] * k);
+    }
 }

@@ -74,3 +74,7 @@ void vr_row_sq_norms(int64_t n, const int64_t *indptr, const double *values,
 void vr_csr_dot(const vr_csr *a, int64_t k, const double *x, double *y);
 void vr_csr_tdot(const vr_csr *a, int64_t k, const double *x, double *y);
 void vr_expit(int64_t size, const double *t, double *out);
+/* g = A^T c for c = ((-b) expit(-b (A x))) / n (x, g: d by k; work: k
+   doubles), in one pass over A's rows */
+void vr_data_grad(const vr_csr *a, const double *b, int64_t k,
+                  const double *x, double *work, double *g);

@@ -149,6 +149,9 @@ class ExperimentSpec:
             raise ConfigError("experiment needs at least one seed")
         if self.passes < 1:
             raise ConfigError("pass budget must be >= 1")
+        if self.record_every_pass is None:
+            raise ConfigError("record_every_pass = none: the summary reads "
+                              "each run's trace")
         labels = [o.label for o in self.optimizers]
         if len(set(labels)) != len(labels):
             raise ConfigError("optimizer labels must be unique")

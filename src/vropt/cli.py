@@ -242,10 +242,13 @@ def _cmd_subsample_study(args) -> int:
     cp = configparser.ConfigParser()
     if not cp.read(args.config):
         raise ConfigError(f"cannot read config file {args.config}")
-    dataset = _parse_dataset(cp).load()
     sec = cp["study" if cp.has_section("study") else cp.default_section]
     n_values = _value(sec, "n_values", _ints, [10, 100, 1000])
+    if not n_values:
+        raise ConfigError(f"[{sec.name}] n_values: needs at least one "
+                          "subsample size")
     passes = _value(sec, "passes", int, 30)
+    dataset = _parse_dataset(cp).load()
     rows = bench.subsample_study(
         dataset, n_values, passes=passes,
         seed=args.seed if args.seed is not None else 0,

@@ -20,7 +20,9 @@ sigmoid expit(t) = 1 / (1 + e^-t) of the margins.  They run in the compiled
 kernel (``vropt._kernel``) when it is loaded, without a transposed copy of
 A, and otherwise in scipy (``csr_matrix.dot`` on A and on a cached A^T,
 ``scipy.special.expit``), which is then imported on the first oracle call.
-Both paths give the same bits; scipy's is the reference.
+Both paths give the same bits; scipy's is the reference.  In the kernel a
+gradient's data term, A^T c with c = ((-b) expit(-b (A x))) / n, is one
+call per block of iterates, which holds no n by k array of margins.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def _expit(t: np.ndarray) -> np.ndarray:
 class _CSR:
     """A (n by d) as the dataset's validated CSR arrays, shared: scipy's CSR
     constructor would copy the int64 index arrays down to int32.  ``dot``
-    and ``tdot`` run in the kernel when it is loaded (looked up on every
-    call, since it can be hidden mid-process), else in scipy.  The kernel's
-    view of A and scipy's A and A^T are made on first use and kept."""
+    and ``data_gradient`` run in the kernel when it is loaded (looked up on
+    every call, since it can be hidden mid-process), else in scipy.  The
+    kernel's view of A and scipy's A and A^T are made on first use and
+    kept."""
 
     __slots__ = ("indptr", "indices", "data", "shape", "_view", "_scipy")
 
@@ -97,11 +100,17 @@ class _CSR:
             return self._compiled().product(x)
         return self._scipy_pair()[0].dot(x)
 
-    def tdot(self, c: np.ndarray) -> np.ndarray:
-        """A^T @ c for c of shape (n,) or (n, k)."""
+    def data_gradient(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A^T c for c = ((-b) expit(-b (A x))) / n, with x of shape (d,) or
+        (d, k) and b multiplying A x by row: the logistic data term of the
+        gradient at each column of x."""
         if _kernel.lib is not None:
-            return self._compiled().product(c, transpose=True)
-        return self._scipy_pair()[1].dot(c)
+            return self._compiled().data_gradient(b, x)
+        A, AT = self._scipy_pair()
+        if x.ndim == 2:
+            b = b[:, None]
+        z = b * A.dot(x)
+        return AT.dot((-b * _expit(-z)) / self.shape[0])
 
     def _compiled(self):
         if self._view is None or self._view.ffi is not _kernel.ffi:
@@ -213,9 +222,7 @@ class _MarginModel:
             # the mean of one component is that component; same code path
             # keeps the two oracles bit-identical in the degenerate case
             return self.component_gradient(0, x)
-        z = self._b * self._A.dot(x)
-        coef = (-self._b * _expit(-z)) / self.n
-        g = self._A.tdot(coef)
+        g = self._A.data_gradient(self._b, x)
         g += self._reg_gradient(x)
         return g
 
@@ -238,12 +245,7 @@ class _MarginModel:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.empty_like(X)
         for lo in range(0, X.shape[0], _BLOCK):
-            chunk = X[lo:lo + _BLOCK]
-            Z = self._b[:, None] * self._A.dot(chunk.T)
-            coef = (-self._b[:, None] * _expit(-Z)) / self.n
-            G = self._A.tdot(coef).T
-            G += self._reg_gradient(chunk)
-            out[lo:lo + chunk.shape[0]] = G
+            out[lo:lo + _BLOCK] = self._gradient_block(X[lo:lo + _BLOCK])
         return out
 
     def grad_sq_norms(self, X: np.ndarray) -> np.ndarray:
@@ -252,9 +254,16 @@ class _MarginModel:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = np.empty(X.shape[0])
         for lo in range(0, X.shape[0], _BLOCK):
-            G = self.full_gradient_batch(X[lo:lo + _BLOCK])
+            G = self._gradient_block(X[lo:lo + _BLOCK])
             out[lo:lo + G.shape[0]] = np.einsum("ij,ij->i", G, G)
         return out
+
+    def _gradient_block(self, chunk: np.ndarray) -> np.ndarray:
+        """grad F(x) for each row x of ``chunk``, C-ordered: the einsum of
+        ``grad_sq_norms`` sums in another order on a transposed layout."""
+        G = self._A.data_gradient(self._b, chunk.T).T
+        G += self._reg_gradient(chunk)
+        return np.ascontiguousarray(G)
 
     def component_gradient_batch(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
         """grad f_{idx[r]}(X[r]) for every r; one paired draw per row."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -47,6 +48,15 @@ class TestExperimentValidation:
         setup = bench.OptimizerSetup(algorithm="GD", label="x", eta_over_L=0.5)
         with pytest.raises(ConfigError, match="at least one seed"):
             bench.run_experiment(sc_spec(tmp_path, [setup], seeds=()))
+
+    def test_no_trace_is_refused(self, tmp_path):
+        # the summary ranks labels by their traces' final gradients
+        setup = bench.OptimizerSetup(algorithm="GD", label="x", eta_over_L=0.5)
+        spec = dataclasses.replace(sc_spec(tmp_path / "out", [setup]),
+                                   record_every_pass=None)
+        with pytest.raises(ConfigError, match="record_every_pass = none"):
+            bench.run_experiment(spec)
+        assert not (tmp_path / "out").exists()
 
     def test_eta_choices_exclusive(self, tmp_path):
         setup = bench.OptimizerSetup(algorithm="GD", label="x",
@@ -256,6 +266,8 @@ eta_over_L = 0.5
         ("synthetic = true", "synthetic = maybe",
          "[dataset] synthetic: malformed value 'maybe'"),
         ("seeds = 0", "seeds =", "experiment needs at least one seed"),
+        ("seeds = 0", "seeds = 0\nrecord_every_pass = none",
+         "record_every_pass = none: the summary reads each run's trace"),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, old,
                                               new, message):
@@ -424,6 +436,17 @@ passes = 5
         out = tmp_path / "study.csv"
         assert cli_main(["subsample-study", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().startswith("# schema: subsample-study-v1")
+
+    def test_subsample_study_without_sizes_is_config_error(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text("[dataset]\nsynthetic = true\nn = 20\nd = 3\n\n"
+                       "[study]\nn_values =\n")
+        out = tmp_path / "study.csv"
+        assert cli_main(["subsample-study", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [study] n_values: ")
+        assert not out.exists()
 
     def test_diag_fast(self, capsys):
         assert cli_main(["diag", "--fast"]) == 0
