@@ -102,7 +102,11 @@ static double coef(double b, double s, double n)
    G before row i + 1 is read.  The rows are taken in order, so every sum
    of A X and of A^T C has the same additions in the same order as in those
    functions, and no n by k array of margins is ever held.  k = 1 keeps
-   its own plain loop, as in those functions. */
+   its own plain loop, as in those functions: the general loop gives the
+   same bits, but adds each row's sum up in the work buffer.  On
+   the rcv1-shaped sarah-sparse benchmark (traced, 4 alternating pairs,
+   2-vCPU VM) full_gradient took 4.6-5.0 ms with this loop against
+   9.3-12.2 ms without it. */
 void vr_data_grad(const vr_csr *a, const double *b, int64_t k,
                   const double *restrict x, double *restrict work,
                   double *restrict g)

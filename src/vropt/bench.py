@@ -150,8 +150,8 @@ class ExperimentSpec:
         if self.passes < 1:
             raise ConfigError("pass budget must be >= 1")
         if self.record_every_pass is None:
-            raise ConfigError("record_every_pass = none: the summary reads "
-                              "each run's trace")
+            raise ConfigError("record_every_pass must be a number: the "
+                              "summary reads each run's trace")
         labels = [o.label for o in self.optimizers]
         if len(set(labels)) != len(labels):
             raise ConfigError("optimizer labels must be unique")
@@ -350,6 +350,9 @@ def subsample_study(dataset, n_values, passes: int = 30, seed: int = 0,
     """For each subsample size run the loopless optimizer twice: once with the
     n-independent step 0.5/L, once with the n-dependent step at the quadratic
     maximum ~ 1/(L sqrt(m)); record the final squared gradient norms."""
+    if not n_values:
+        raise ConfigError("[study] n_values: needs at least one subsample "
+                          "size")
     rows = []
     for n_sub in n_values:
         sub = data_mod.subsample(dataset, n_sub, seed=seed)

@@ -117,9 +117,7 @@ def load_experiment_spec(path: str, seed_override: int | None = None,
         optimizers=_parse_optimizers(cp),
         passes=_value(exp, "passes", int, 30),
         seeds=seeds,
-        record_every_pass=_value(
-            exp, "record_every_pass",
-            lambda text: None if text == "none" else float(text), 1.0),
+        record_every_pass=_value(exp, "record_every_pass", float, 1.0),
         out_dir=out_override or exp.get("out", fallback="results"),
     )
 
@@ -242,13 +240,10 @@ def _cmd_subsample_study(args) -> int:
     cp = configparser.ConfigParser()
     if not cp.read(args.config):
         raise ConfigError(f"cannot read config file {args.config}")
+    dataset = _parse_dataset(cp).load()
     sec = cp["study" if cp.has_section("study") else cp.default_section]
     n_values = _value(sec, "n_values", _ints, [10, 100, 1000])
-    if not n_values:
-        raise ConfigError(f"[{sec.name}] n_values: needs at least one "
-                          "subsample size")
     passes = _value(sec, "passes", int, 30)
-    dataset = _parse_dataset(cp).load()
     rows = bench.subsample_study(
         dataset, n_values, passes=passes,
         seed=args.seed if args.seed is not None else 0,

@@ -54,7 +54,7 @@ class TestExperimentValidation:
         setup = bench.OptimizerSetup(algorithm="GD", label="x", eta_over_L=0.5)
         spec = dataclasses.replace(sc_spec(tmp_path / "out", [setup]),
                                    record_every_pass=None)
-        with pytest.raises(ConfigError, match="record_every_pass = none"):
+        with pytest.raises(ConfigError, match="must be a number"):
             bench.run_experiment(spec)
         assert not (tmp_path / "out").exists()
 
@@ -176,6 +176,12 @@ class TestSubsampleStudy:
         assert len(rows) == 2
         assert {r["config"] for r in rows} == {"n-independent", "n-dependent"}
 
+    def test_no_sizes_is_refused(self, tiny_dataset, tmp_path):
+        out = tmp_path / "study.csv"
+        with pytest.raises(ConfigError, match=r"\[study\] n_values"):
+            bench.subsample_study(tiny_dataset, [], out_path=str(out))
+        assert not out.exists()
+
     def test_directional_claims(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(n=1000, d=8, spread=2.0,
                                               noise_rate=0.1, seed=13))
@@ -267,7 +273,7 @@ eta_over_L = 0.5
          "[dataset] synthetic: malformed value 'maybe'"),
         ("seeds = 0", "seeds =", "experiment needs at least one seed"),
         ("seeds = 0", "seeds = 0\nrecord_every_pass = none",
-         "record_every_pass = none: the summary reads each run's trace"),
+         "[experiment] record_every_pass: malformed value 'none'"),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, old,
                                               new, message):
