@@ -22,7 +22,7 @@ ds = generate_synthetic(SyntheticSpec(n=20, d=5, spread=2.0, noise_rate=0.1,
 
 convex = LogisticModel(ds, lam=0.0)
 print("convex, eta = 0.5/L, 2000 resamples:")
-for rep in estimate_mse_bound(convex, "convex", eta=0.5 / convex.L, m=8,
+for rep in estimate_mse_bound(convex, "convex", eta=0.5 / convex.L,
                               horizon=8, resamples=2000, seed=0):
     print(f"  {rep.quantity:10s} estimate {rep.estimate:.4e}  "
           f"bound {rep.bound:.4e}  ({'ok' if rep.passed else 'VIOLATED'})")
@@ -30,7 +30,7 @@ for rep in estimate_mse_bound(convex, "convex", eta=0.5 / convex.L, m=8,
 noncvx = NonconvexLogisticModel(ds, alpha=1.0)
 eta = eta_max_nonconvex(8, noncvx.L)
 print(f"\nnonconvex, eta at the quadratic maximum ({eta:.4f}):")
-for rep in estimate_mse_bound(noncvx, "nonconvex", eta=eta, m=8, horizon=8,
+for rep in estimate_mse_bound(noncvx, "nonconvex", eta=eta, horizon=8,
                               resamples=2000, seed=0):
     print(f"  {rep.quantity:10s} estimate {rep.estimate:.4e}  "
           f"bound {rep.bound:.4e}  ({'ok' if rep.passed else 'VIOLATED'})")

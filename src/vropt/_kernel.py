@@ -1,8 +1,9 @@
 """Build, cache and load the compiled kernel, and own its C interface: the
 inner segments of ``vropt.optim`` (``Segments``, ``_segment.c``), the
-set-up of ``vropt.data`` and ``vropt.model`` (``_read.c``) and the products
-and sigmoid of the model's oracles (``CSRView``, ``_oracle.c``), declared
-in ``_segment.h``.  No other module creates or passes a C-side object.
+set-up of ``vropt.data`` and ``vropt.model`` (``_read.c``) and the model's
+oracles: ``A x``, the sigmoid and the fused data gradient (``CSRView``,
+``expit``, ``_oracle.c``), declared in ``_segment.h``.  No other module
+creates or passes a C-side object.
 
 The kernel is compiled with cffi's API mode and the system C compiler, once
 per hash of its sources (``SOURCES``) and flags and per Python ABI, into
@@ -25,8 +26,8 @@ before any child process starts.
 dot product has equalled numpy's ``a @ b`` on random vectors of lengths
 1-130, its LIBSVM reader has read a list of hard decimals as ``float()``
 does, its expit has equalled ``1 / (1 + math.exp(-t))`` on the edges of
-exp's range and its CSR products and data gradient have equalled plain
-loops: every bit-identity claim of the compiled paths rests on these.
+exp's range and its ``A x`` and data gradient have equalled plain loops:
+every bit-identity claim of the compiled paths rests on these.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def row_sq_norms(indptr, values):
 
 class CSRView:
     """A CSR matrix ``a`` (``indptr``, ``indices``, ``data`` and ``shape``,
-    as scipy's csr_matrix has them) as the loaded kernel's products read
+    as scipy's csr_matrix has them) as the loaded kernel's oracles read
     it.  Its bounds are checked once, here, since the kernel follows them;
     ``ffi`` names the kernel the view was made for."""
 
@@ -220,17 +221,17 @@ class CSRView:
                         ffi.from_buffer("double[]", values)]  # kept alive
         self._csr = ffi.new("vr_csr *", [n, d, *self._arrays])
 
-    def product(self, x, transpose=False):
-        """``a @ x``, or ``a.T @ x`` with ``transpose``, for ``x`` a vector or
-        a matrix of k columns, in the order of scipy's ``csr_matrix.dot``
-        (see ``_oracle.c``)."""
+    def product(self, x):
+        """``a @ x`` for a vector ``x`` of length d, in the order of scipy's
+        ``csr_matrix.dot`` (see ``_oracle.c``)."""
         n, d = self.shape
-        rows, cols = (d, n) if transpose else (n, d)
-        x, k = _operand(x, cols)
-        out = np.empty((rows,) + x.shape[1:])
-        fn = lib.vr_csr_tdot if transpose else lib.vr_csr_dot
-        fn(self._csr, k, ffi.from_buffer("double[]", x),
-           ffi.from_buffer("double[]", out))
+        x = np.ascontiguousarray(x, np.float64)
+        if x.shape != (d,):
+            raise ValueError(f"dimension mismatch: {x.shape} against a vector "
+                             f"of {d}")
+        out = np.empty(n)
+        lib.vr_csr_dot(self._csr, ffi.from_buffer("double[]", x),
+                       ffi.from_buffer("double[]", out))
         return out
 
     def data_gradient(self, b, x):
@@ -240,7 +241,11 @@ class CSRView:
         each column of ``x``, in one kernel call with the operations and
         order of that numpy and scipy composition (see ``_oracle.c``)."""
         n, d = self.shape
-        x, k = _operand(x, d)
+        x = np.ascontiguousarray(x, np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != d:
+            raise ValueError(f"dimension mismatch: {x.shape} against {d} "
+                             "columns")
+        k = x.shape[1] if x.ndim == 2 else 1
         b = np.ascontiguousarray(b, np.float64)
         if b.shape != (n,):
             raise ValueError(f"dimension mismatch: {b.shape} labels against "
@@ -251,16 +256,6 @@ class CSRView:
                          ffi.from_buffer("double[]", np.empty(k)),
                          ffi.from_buffer("double[]", out))
         return out
-
-
-def _operand(x, rows):
-    """``x`` as a C-ordered float64 vector or matrix of ``rows`` rows, and
-    its number of columns (1 for a vector)."""
-    x = np.ascontiguousarray(x, np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] != rows:
-        raise ValueError(f"dimension mismatch: {x.shape} against {rows} "
-                         "columns")
-    return x, x.shape[1] if x.ndim == 2 else 1
 
 
 def expit(t):
@@ -390,17 +385,17 @@ def _expit_ok(rng) -> bool:
 
 
 def _products_ok(rng) -> bool:
-    """The CSR products and the data gradient against plain loops, on a 4 by
-    5 matrix with an empty row, for 1, 2 and 5 vectors (5: a block of
-    _oracle.c's LANES and one more).  Row 2 and column 0 hold 2^53, 1 and
-    -2^53 in orders where a sum taken backwards gives 1 instead of 0, and
-    the first vector is all ones; the others are random.  For the data
-    gradient the first vector's entry 3 is 0, so that row 0 sums to 1 and
-    its margin is its label.  The labels run through EXPIT_EDGES, values
-    where expit(-z) is subnormal (so that dividing it by n rounds, unlike
-    dividing -b expit(-z)) and random ones (with the edges alone, the
-    coefficients were so regular that a scatter in reverse row order gave
-    the same bits)."""
+    """``A x`` and the data gradient against plain loops, on a 4 by 5 matrix
+    with an empty row: ``A x`` for a vector of ones and a random one, the
+    data gradient for 1, 2 and 5 vectors (5: a block of _oracle.c's LANES
+    and one more).  Row 2 and column 0 hold 2^53, 1 and -2^53 in orders
+    where a sum taken backwards gives 1 instead of 0.  The data gradient's
+    first vector is all ones but for entry 3, which is 0, so that row 0
+    sums to 1 and its margin is its label; the others are random.  The
+    labels run through EXPIT_EDGES, values where expit(-z) is subnormal (so
+    that dividing it by n rounds, unlike dividing -b expit(-z)) and random
+    ones (with the edges alone, the coefficients were so regular that a
+    scatter in reverse row order gave the same bits)."""
     big = 2.0 ** 53
     indptr, indices = [0, 2, 2, 5, 7], [0, 3, 0, 1, 4, 0, 2]
     values = [1.0, rng.standard_normal(), big, 1.0, -big, -big,
@@ -430,14 +425,15 @@ def _products_ok(rng) -> bool:
         want = np.array(want)
         return got.tobytes() == (want[:, 0] if got.ndim == 1 else want).tobytes()
 
+    x = rng.standard_normal((5, 2))
+    x[:, 0] = 1.0
+    if not all(same(a.product(x[:, j]), dot(x[:, j:j + 1])) for j in (0, 1)):
+        return False
     for k in (1, 2, 5):
-        x, c = rng.standard_normal((5, k)), rng.standard_normal((4, k))
-        x[:, 0] = c[:, 0] = 1.0
-        one = (lambda v: v[:, 0]) if k == 1 else (lambda v: v)
-        if not (same(a.product(one(x)), dot(x))
-                and same(a.product(one(c), transpose=True), tdot(c))):
-            return False
+        x = rng.standard_normal((5, k))
+        x[:, 0] = 1.0
         x[3, 0] = 0.0
+        one = (lambda v: v[:, 0]) if k == 1 else (lambda v: v)
         for shift in range(len(labels)):
             b = [labels[(shift + i) % len(labels)] for i in range(4)]
             want = tdot([[(-b[i] * _expit_reference(-(b[i] * s))) / 4

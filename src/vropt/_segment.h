@@ -69,10 +69,8 @@ int vr_read_block(const char *text, int64_t size, vr_block *b);
 void vr_row_sq_norms(int64_t n, const int64_t *indptr, const double *values,
                      double *out);
 
-/* y = A x (x: d by k, y: n by k) and y = A^T x (x: n by k, y: d by k),
-   row-major */
-void vr_csr_dot(const vr_csr *a, int64_t k, const double *x, double *y);
-void vr_csr_tdot(const vr_csr *a, int64_t k, const double *x, double *y);
+/* y = A x for one vector x (d values, y: n) */
+void vr_csr_dot(const vr_csr *a, const double *x, double *y);
 void vr_expit(int64_t size, const double *t, double *out);
 /* g = A^T c for c = ((-b) expit(-b (A x))) / n (x, g: d by k; work: k
    doubles), in one pass over A's rows */

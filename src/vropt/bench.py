@@ -187,22 +187,33 @@ def write_trace_csv(path, algorithm: str, seed: int, trace,
 
 
 def read_trace_csv(path):
-    """Returns (schema, list of column arrays keyed by CSV_COLUMNS)."""
-    lines = Path(path).read_text().splitlines()
+    """Returns (schema, columns keyed by CSV_COLUMNS: the algorithm names as
+    a list, the others as arrays).  A file that cannot be read, or is not a
+    trace CSV with at least one row, is a ConfigError naming the file and,
+    where there is one, the line."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError):
+        raise ConfigError(f"cannot read trace CSV {path}") from None
     if not lines or not lines[0].startswith("# schema:"):
         raise ConfigError(f"{path}: missing schema header")
     schema = lines[0].split(":", 1)[1].strip()
-    header = lines[1].split(",")
-    rows = [ln.split(",") for ln in lines[2:] if ln]
-    cols = {}
-    for j, name in enumerate(header):
-        vals = [r[j] for r in rows]
-        if name in ("algorithm",):
-            cols[name] = vals
-        elif name in ("seed", "ifo"):
-            cols[name] = np.array([int(v) for v in vals], dtype=np.int64)
-        else:
-            cols[name] = np.array([float(v) for v in vals])
+    if lines[1:2] != [",".join(CSV_COLUMNS)]:
+        raise ConfigError(f"{path}:2: header is not {','.join(CSV_COLUMNS)}")
+    kinds = (str, np.int64, float, np.int64, float, float)  # by CSV_COLUMNS
+    rows = []
+    for no, line in enumerate(lines[2:], 3):
+        try:
+            if line:  # a field too many or too few fails the strict zip
+                rows.append([kind(v) for kind, v in
+                             zip(kinds, line.split(","), strict=True)])
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{path}:{no}: malformed row {line!r}") from None
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    columns = list(zip(*rows))
+    cols = {name: np.array(col) for name, col in zip(CSV_COLUMNS, columns)}
+    cols["algorithm"] = list(columns[0])
     return schema, cols
 
 

@@ -186,7 +186,7 @@ def _cmd_diag(args) -> int:
     resamples = 2000 if not args.fast else 300
     convex = LogisticModel(ds, lam=0.0)
     reports = estimate_mse_bound(convex, "convex", eta=0.5 / convex.L,
-                                 m=5, horizon=8, resamples=resamples,
+                                 horizon=8, resamples=resamples,
                                  seed=args.seed)
     ok = all(r.passed for r in reports)
     failures += record("mse-bound", "convex", ok,
@@ -198,7 +198,7 @@ def _cmd_diag(args) -> int:
     from .planner import eta_max_nonconvex
     reports = estimate_mse_bound(noncvx, "nonconvex",
                                  eta=eta_max_nonconvex(5, noncvx.L),
-                                 m=5, horizon=8, resamples=resamples,
+                                 horizon=8, resamples=resamples,
                                  seed=args.seed)
     ok = all(r.passed for r in reports)
     failures += record("mse-bound", "nonconvex", ok,

@@ -138,7 +138,7 @@ class MonteCarloReport:
     passed: bool
 
 
-def estimate_mse_bound(model, regime: str, eta: float, m: int, horizon: int,
+def estimate_mse_bound(model, regime: str, eta: float, horizon: int,
                        resamples: int = 2000,
                        seed: int = 0) -> list[MonteCarloReport]:
     """Estimate E[||grad F(x_t) - v_t||^2 | snapshot at 0, none since] by
@@ -148,8 +148,8 @@ def estimate_mse_bound(model, regime: str, eta: float, m: int, horizon: int,
 
     Conditioned on the schedule event, the remaining randomness is the i.i.d.
     index draws, so forcing the no-snapshot recursion and resampling indices
-    samples the conditional law exactly; m does not enter (it only weights
-    how likely the event is).
+    samples the conditional law exactly.  The snapshot gap m does not enter:
+    it only weights how likely the event is.
 
     convex bound     eta*L/(2 - eta*L) * ||grad F(x_0)||^2  (needs eta < 2/L)
     nonconvex bound  eta^2 L^2 sum_{tau <= t-1} E[||v_tau||^2 | event],
@@ -168,7 +168,6 @@ def estimate_mse_bound(model, regime: str, eta: float, m: int, horizon: int,
             raise ConfigError("convex regime requires a convex model")
     if eta <= 0:
         raise ConfigError("eta must be > 0")
-    del m  # the conditional bound is schedule-free
 
     rng = Rng(seed, stream=_STREAM_MSE)
     x0 = np.array([2.0 * rng.random() - 1.0 for _ in range(model.d)])

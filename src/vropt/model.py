@@ -15,14 +15,15 @@ Gradient oracles are what the IFO counter meters: a component gradient costs
 part of the IFO contract).
 
 The data matrix A is held once, as the dataset's CSR arrays.  The full and
-bulk oracles take two products of it, A x and A^T c, and the logistic
-sigmoid expit(t) = 1 / (1 + e^-t) of the margins.  They run in the compiled
-kernel (``vropt._kernel``) when it is loaded, without a transposed copy of
-A, and otherwise in scipy (``csr_matrix.dot`` on A and on a cached A^T,
-``scipy.special.expit``), which is then imported on the first oracle call.
-Both paths give the same bits; scipy's is the reference.  In the kernel a
-gradient's data term, A^T c with c = ((-b) expit(-b (A x))) / n, is one
-call per block of iterates, which holds no n by k array of margins.
+bulk oracles take A x, the logistic sigmoid expit(t) = 1 / (1 + e^-t) of
+the margins and A^T c.  With the compiled kernel (``vropt._kernel``)
+loaded, the objective takes A x for one vector, the component batch takes
+expit, and a gradient's data term, A^T c with c = ((-b) expit(-b (A x))) /
+n, is one call per block of iterates, which holds no n by k array of
+margins and no transposed copy of A.  Without the kernel they run in scipy
+(``csr_matrix.dot`` on A and on a cached A^T, ``scipy.special.expit``),
+which is then imported on the first oracle call.  Both paths give the same
+bits; scipy's is the reference.
 """
 
 from __future__ import annotations
@@ -57,8 +58,12 @@ def _check_x(x: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ContractError(f"x must have shape ({d},), got {x.shape}")
-    # squares cannot cancel, so a single finite check on x.x catches NaN/Inf
-    if not math.isfinite(float(x @ x)):
+    # squares cannot cancel, so a single finite check on x.x catches NaN/Inf;
+    # np.vdot, unlike x @ x, checks no floating-point flags, so an x.x that
+    # overflows raises no RuntimeWarning
+    if not math.isfinite(float(np.vdot(x, x))):
+        if np.isfinite(x).all():
+            raise NumericError("parameter vector too large: x.x overflows")
         raise NumericError("non-finite parameter vector")
     return x
 
@@ -95,7 +100,7 @@ class _CSR:
         self._view = self._scipy = None
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for x of shape (d,) or (d, k)."""
+        """A @ x for x of shape (d,)."""
         if _kernel.lib is not None:
             return self._compiled().product(x)
         return self._scipy_pair()[0].dot(x)

@@ -96,11 +96,11 @@ def test_criterion_03_mse_bounds():
     ds = generate_synthetic(SyntheticSpec(n=20, d=5, spread=2.0,
                                           noise_rate=0.1, seed=11))
     convex = LogisticModel(ds, lam=0.0)
-    reps_c = estimate_mse_bound(convex, "convex", eta=0.5 / convex.L, m=8,
+    reps_c = estimate_mse_bound(convex, "convex", eta=0.5 / convex.L,
                                 horizon=8, resamples=2000, seed=100)
     noncvx = NonconvexLogisticModel(ds, alpha=1.0)
     reps_n = estimate_mse_bound(noncvx, "nonconvex",
-                                eta=eta_max_nonconvex(8, noncvx.L), m=8,
+                                eta=eta_max_nonconvex(8, noncvx.L),
                                 horizon=8, resamples=2000, seed=100)
     ok = all(r.passed for r in reps_c + reps_n)
     assert ok

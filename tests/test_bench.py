@@ -286,6 +286,26 @@ eta_over_L = 0.5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("text,message", [
+        (None, "cannot read trace CSV"),
+        ("# schema: trace-v1\n", ":2: header is not"),
+        ("# schema: trace-v1\n" + ",".join(bench.CSV_COLUMNS) + "\n",
+         "no data rows"),
+        ("# schema: trace-v1\n" + ",".join(bench.CSV_COLUMNS)
+         + "\nsarah,0,0.0,0,1.0,1.0\nsarah,0,1.0,x,1.0,1.0\n",
+         ":4: malformed row 'sarah,0,1.0,x,1.0,1.0'"),
+    ], ids=["missing", "schema-only", "header-only", "non-numeric"])
+    def test_bad_trace_csv_is_config_error(self, tmp_path, capsys, text,
+                                           message):
+        trace = tmp_path / "trace.csv"
+        if text is not None:
+            trace.write_text(text)
+        svg = tmp_path / "plot.svg"
+        assert cli_main(["plot", str(trace), "--out", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(trace) in err
+        assert message in err and not svg.exists()
+
     def test_run_nonconvex_grid(self, tmp_path):
         # an integer m, a planned (nonconvex) and an L_bar-relative step
         # size, and an SGD cell on the nonconvex loss

@@ -63,33 +63,32 @@ class TestEnumeration:
 class TestMseBounds:
     def test_t0_identically_zero(self, convex_model):
         reps = estimate_mse_bound(convex_model, "convex",
-                                  eta=0.5 / convex_model.L, m=5, horizon=1,
+                                  eta=0.5 / convex_model.L, horizon=1,
                                   resamples=50, seed=0)
         assert reps[0].estimate == 0.0 and reps[0].passed
 
     def test_convex_bound_holds(self, convex_model):
         reps = estimate_mse_bound(convex_model, "convex",
-                                  eta=0.5 / convex_model.L, m=5, horizon=8,
+                                  eta=0.5 / convex_model.L, horizon=8,
                                   resamples=2000, seed=7)
         assert all(r.passed for r in reps)
 
     def test_nonconvex_bound_holds(self, nonconvex_model):
         eta = eta_max_nonconvex(5, nonconvex_model.L)
         reps = estimate_mse_bound(nonconvex_model, "nonconvex", eta=eta,
-                                  m=5, horizon=8, resamples=2000, seed=7)
+                                  horizon=8, resamples=2000, seed=7)
         assert all(r.passed for r in reps)
 
     def test_eta_out_of_range(self, convex_model):
         with pytest.raises(ConfigError):
             estimate_mse_bound(convex_model, "convex",
-                               eta=2.5 / convex_model.L, m=5, horizon=3)
+                               eta=2.5 / convex_model.L, horizon=3)
 
     def test_large_instance_refused(self):
         ds = generate_synthetic(SyntheticSpec(n=80, d=5, seed=0))
         model = LogisticModel(ds, lam=0.0)
         with pytest.raises(ConfigError):
-            estimate_mse_bound(model, "convex", eta=0.1 / model.L, m=5,
-                               horizon=2)
+            estimate_mse_bound(model, "convex", eta=0.1 / model.L, horizon=2)
 
 
 class TestSamplingOracles:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ class TestComponentGradient:
             convex_model.component_gradient(0, x)
         with pytest.raises(NumericError):
             convex_model.objective(x)
+
+    def test_overflowing_x_rejected_by_name(self, convex_model):
+        """A finite x whose x.x overflows is refused as too large, not as
+        non-finite, and the overflow raises no RuntimeWarning."""
+        x = np.full(convex_model.d, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for oracle in (convex_model.objective, convex_model.full_gradient,
+                           lambda x: convex_model.component_gradient(0, x)):
+                with pytest.raises(NumericError, match="x.x overflows"):
+                    oracle(x)
 
 
     @pytest.mark.parametrize("shape", [(4,), (6,), (1, 5), ()])

@@ -47,18 +47,22 @@ def _random_csr(seed, n, d, density):
        d=st.sampled_from([1, 3, 33]), density=st.sampled_from([0.0, 0.2, 0.7, 1.0]),
        k=st.sampled_from([1, 2, 513]), fortran=st.booleans())
 def test_products_equal_scipys(seed, n, d, density, k, fortran):
-    """A @ X and A^T @ C as scipy's csr_matrix.dot and its transposed copy's
-    give them, for one vector (1-D) and for k at once, in either order."""
+    """A @ x as scipy's csr_matrix.dot gives it, and the data gradient
+    A^T c, c = (-b expit(-b (A X))) / n, as scipy's A, expit and transposed
+    copy compose it, for one vector (1-D) and for k at once, in either
+    order, with random labels of +-1."""
     A, rng = _random_csr(seed, n, d, density)
     view = _kernel.CSRView(A)
-    x, c = rng.standard_normal((d, k)), rng.standard_normal((n, k))
+    x, b = rng.standard_normal((d, k)), rng.choice([-1.0, 1.0], n)
     if k == 1:
-        x, c = x[:, 0], c[:, 0]
+        x = x[:, 0]
+        assert view.product(x).tobytes() == A.dot(x).tobytes()
     elif fortran:
-        x, c = np.asfortranarray(x), np.asfortranarray(c)
-    assert view.product(x).tobytes() == A.dot(x).tobytes()
-    assert (view.product(c, transpose=True).tobytes()
-            == A.T.tocsr().dot(c).tobytes())
+        x = np.asfortranarray(x)
+    by_row = b if k == 1 else b[:, None]
+    z = by_row * A.dot(x)
+    want = A.T.tocsr().dot((-by_row * expit(-z)) / n)
+    assert view.data_gradient(b, x).tobytes() == want.tobytes()
 
 
 @needs_kernel
@@ -80,10 +84,9 @@ def test_products_refuse_bad_shapes():
         with pytest.raises(ValueError):
             _kernel.CSRView(SimpleNamespace(**{**good, **bad}))
     view = _kernel.CSRView(SimpleNamespace(**good))
-    for x, transpose in ((np.ones(2), False), (np.ones((3, 1, 1)), False),
-                         (np.ones(3), True)):
+    for x in (np.ones(2), np.ones((3, 1, 1)), np.ones((3, 1))):
         with pytest.raises(ValueError):
-            view.product(x, transpose=transpose)
+            view.product(x)
 
 
 @needs_kernel
@@ -96,8 +99,8 @@ def test_self_test_refuses_a_kernel_off_by_one_ulp(monkeypatch, broken):
                             lambda t: np.nextafter(exact(t), np.inf))
     else:
         exact = _kernel.CSRView.product
-        monkeypatch.setattr(_kernel.CSRView, "product", lambda self, x, **kw:
-                            np.nextafter(exact(self, x, **kw), np.inf))
+        monkeypatch.setattr(_kernel.CSRView, "product", lambda self, x:
+                            np.nextafter(exact(self, x), np.inf))
     assert not _kernel._self_test()
 
 
