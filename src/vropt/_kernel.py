@@ -269,16 +269,14 @@ def expit(t):
 
 
 class Segments:
-    """The kernel on a run's state (``vropt.optim``'s ``_Run``) and
-    estimator, reading A through the model's ``CSRView``.  ``run`` takes
+    """The kernel on a run's state (``vropt.optim``'s ``_Run``) and dense
+    estimator (``_Dense``, whose ``code``, ``cur``, ``prev`` and ``v`` are
+    ``vr_seg``'s), reading A through the model's ``CSRView``.  ``run`` takes
     the passes up to the next event (see _segment.h) in C, with the draws,
     the IFO count, the divergence guard and the index and iterate logs,
     and returns the loop position; the Python loop then takes the event's
     pass.  The state is copied in per segment, as Python may hold on to the
     estimator's arrays (x_a, also the next snapshot point, and the output)."""
-
-    # the estimator arrays behind vr_seg's cur, prev and v, by est.code
-    _STATE = {0: ("cur",), 1: ("cur", "anchor", "mu"), 2: ("cur", "prev", "v")}
 
     def __init__(self, model, st, est, table, sched, coin_m, period, u_cap,
                  bern):
@@ -320,11 +318,11 @@ class Segments:
         s.a_at = a_at
         s.rec_next = -1 if st.rec_step is None else st.next_thresh
         s.idx_rng[2], s.snap_rng[2] = self.idx._ctr, self.snap._ctr
-        names = self._STATE[est.code]
-        state = [np.array(getattr(est, k), np.float64, order="C")
-                 for k in names]
-        ptrs = [ffi.from_buffer("double[]", a) for a in state]
-        s.cur, s.prev, s.v = ptrs + [ffi.NULL] * (3 - len(ptrs))
+        state = [None if a is None else np.array(a, np.float64, order="C")
+                 for a in (est.cur, est.prev, est.v)]
+        s.cur, s.prev, s.v = [ffi.NULL if a is None
+                              else ffi.from_buffer("double[]", a)
+                              for a in state]
         logs = (st.indices, st.iterates)
         while True:
             start = s.updates
@@ -340,8 +338,7 @@ class Segments:
                     log.size += s.updates - start
             if why != lib.VR_FULL:
                 break
-        for k, a in zip(names, state):
-            setattr(est, k, a)
+        est.cur, est.prev, est.v = state
         st.counter.count = s.count
         self.idx._ctr, self.snap._ctr = s.idx_rng[2], s.snap_rng[2]
         if self.bern is not None:

@@ -120,7 +120,7 @@ static void dense_grad(const vr_seg *s, int64_t i, const double *x,
         g[idx[k]] += c * val[k];
 }
 
-/* ---- optim._Plain, _Anchored and _DenseRecursion steps ---- */
+/* ---- optim._Dense steps: kind 0 plain, 1 anchored, 2 recursive ---- */
 
 static void dense_step(vr_seg *s, int64_t i)
 {

@@ -32,10 +32,27 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def _value(sec, key: str, parse, fallback=None):
-    """``parse(sec[key])``, or ``fallback`` when ``key`` is unset; a value
-    that ``parse`` rejects is a ConfigError naming the section and key."""
+def _read_config(path: str) -> configparser.ConfigParser:
+    """The config file at ``path``, read once, its values literal (no
+    ``%`` interpolation); a file configparser cannot read is a ConfigError
+    naming it."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    if not read:
+        raise ConfigError(f"cannot read config file {path}")
+    return cp
+
+
+def _value(sec, key: str, parse, fallback=None, required=False):
+    """``parse(sec[key])``, or ``fallback`` when ``key`` is unset; a missing
+    ``required`` key, or a value that ``parse`` rejects, is a ConfigError
+    naming the section and key."""
     if key not in sec:
+        if required:
+            raise ConfigError(f"[{sec.name}] {key}: missing")
         return fallback
     try:
         return parse(sec[key])
@@ -50,8 +67,8 @@ def _parse_dataset(cp: configparser.ConfigParser) -> bench.DatasetSpec:
     sec = cp["dataset"]
     if _value(sec, "synthetic", lambda _: sec.getboolean("synthetic"), False):
         return bench.DatasetSpec(synthetic=SyntheticSpec(
-            n=_value(sec, "n", int),
-            d=_value(sec, "d", int),
+            n=_value(sec, "n", int, required=True),
+            d=_value(sec, "d", int, required=True),
             spread=_value(sec, "spread", float, 1.0),
             noise_rate=_value(sec, "noise", float, 0.0),
             seed=_value(sec, "seed", int, 0),
@@ -87,7 +104,7 @@ def _parse_optimizers(cp) -> tuple:
         if m_rule not in ("n", "sqrt_n"):
             _value(sec, "m", int)  # must then be an integer literal
         setups.append(bench.OptimizerSetup(
-            algorithm=sec["algorithm"],
+            algorithm=_value(sec, "algorithm", str, required=True),
             label=label,
             eta=_value(sec, "eta", float),
             eta_over_L=_value(sec, "eta_over_L", float),
@@ -100,10 +117,7 @@ def _parse_optimizers(cp) -> tuple:
 
 def load_experiment_spec(path: str, seed_override: int | None = None,
                          out_override: str | None = None) -> bench.ExperimentSpec:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    cp = _read_config(path)
     if not cp.has_section("experiment"):
         raise ConfigError("config needs an [experiment] section")
     exp = cp["experiment"]
@@ -237,9 +251,7 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_subsample_study(args) -> int:
-    cp = configparser.ConfigParser()
-    if not cp.read(args.config):
-        raise ConfigError(f"cannot read config file {args.config}")
+    cp = _read_config(args.config)
     dataset = _parse_dataset(cp).load()
     sec = cp["study" if cp.has_section("study") else cp.default_section]
     n_values = _value(sec, "n_values", _ints, [10, 100, 1000])

@@ -134,8 +134,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ConfigError("need n >= 1 and d >= 1")
-        if self.spread < 1.0:
-            raise ConfigError("spread must be >= 1")
+        if not 1.0 <= self.spread < np.inf:
+            raise ConfigError("spread must be >= 1 and finite")
         if not 0.0 <= self.noise_rate <= 0.5:
             raise ConfigError("noise_rate must be in [0, 0.5]")
 

@@ -291,8 +291,8 @@ class LogisticModel(_MarginModel):
     """L2-regularized logistic regression over sparse rows."""
 
     def __init__(self, dataset, lam: float = 0.0):
-        if lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not 0 <= lam < math.inf:
+            raise ConfigError("lam must be >= 0 and finite")
         super().__init__(dataset, reg_smoothness=lam)
         self.lam = self.ridge = float(lam)
         self.mu = float(lam)
@@ -310,8 +310,8 @@ class NonconvexLogisticModel(_MarginModel):
     alpha * sum_j x_j^2 / (1 + x_j^2)."""
 
     def __init__(self, dataset, alpha: float = 1.0):
-        if alpha <= 0:
-            raise ConfigError("alpha must be > 0")
+        if not 0 < alpha < math.inf:
+            raise ConfigError("alpha must be > 0 and finite")
         super().__init__(dataset, reg_smoothness=2.0 * alpha)
         self.alpha = float(alpha)
         self.mu = 0.0

@@ -80,6 +80,7 @@ ALGORITHMS = ("GD", "SGD", "SVRG", "SARAH", "SARAH-LI", "L2S", "L2S-SC", "D2S")
 _OUTER_LOOPS = {"SVRG", "SARAH", "SARAH-LI", "D2S"}
 
 _DESCENT_RTOL = 1e-12
+_INT64_MAX = (1 << 63) - 1  # the kernel's counts and events are int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +105,11 @@ def validate_config(config: OptimizerConfig) -> None:
     algo = config.algorithm
     if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algo!r}")
+    for name in ("m", "T", "S", "max_ifo"):
+        value = getattr(config, name)
+        if value is not None and abs(value) > _INT64_MAX:
+            raise ConfigError(f"{name}={value} does not fit a signed 64-bit "
+                              "integer")
     if not (config.eta > 0 and math.isfinite(config.eta)):
         raise ConfigError("eta must be positive and finite")
     if config.T is not None and config.S is not None:
@@ -216,8 +222,9 @@ class _Run:
             if self.x0.shape != (model.d,):
                 raise ConfigError("x0 has wrong dimension")
         cadence = config.record_every_pass
+        # a cadence beyond every count records x_0 only, on both engines
         self.rec_step = (None if cadence is None
-                         else int(round(cadence * model.n)))
+                         else int(round(min(cadence * model.n, _INT64_MAX))))
         if self.rec_step is not None and self.rec_step < 1:
             raise ConfigError("record cadence below one IFO call")
         self.next_thresh = self._last_t = 0
@@ -312,9 +319,10 @@ class _Run:
 
 
 # --------------------------------------------------------------------------
-# Estimator states: step(i), materialise(prev=False) (x_t, or x_{t-1}),
-# sq_norm() (||x_t||^2), kind and, but for SGD's, snapshot(x, v) (restart at x
-# with v = grad F(x); all but the anchored state then step to x - eta v).
+# Estimator states (_Dense, _LazyRecursion): step(i), materialise(prev=False)
+# (x_t, or x_{t-1}), sq_norm() (||x_t||^2), kind, steps_at_snapshot and, but
+# for SGD's, snapshot(x, v) (restart at x with v = grad F(x); all but the
+# anchored setting then step to x - eta v).
 # --------------------------------------------------------------------------
 
 _LAZY_ALGORITHMS = ("SARAH", "SARAH-LI", "D2S", "L2S", "L2S-SC")
@@ -347,68 +355,46 @@ def inner_step(model, algorithm: str) -> str:
     return "sparse" if sparse else "dense"
 
 
-class _Plain:
-    """SGD's estimator v = grad f_i(x_t), on explicit iterates from x0."""
+class _Dense:
+    """The plain (``code`` 0), anchored (1) or recursive (2) estimator on
+    explicit iterates x_t = ``cur`` (the reference arithmetic), laid out as
+    the kernel's ``vr_seg``: ``prev`` holds the anchor x~ (1) or x_{t-1}
+    (2), and ``v`` grad F(x~) (1) or v_{t-1} (2).  With ``weights`` (D2S),
+    the recursive increment is divided by w_i = n p_i."""
 
     kind = "dense"
-    steps_at_snapshot = True   # a snapshot ends in x - eta grad F(x)
-    code = 0                   # its kind in the kernel (_segment.c)
 
-    def __init__(self, model, eta, counter, x0=None):
-        self.model, self.eta, self.counter, self.cur = model, eta, counter, x0
-
-    def step(self, i):
-        g = self.model.component_gradient(i, self.cur, self.counter)
-        self.cur = self.cur - self.eta * g
-
-    def materialise(self, prev=False):
-        return self.cur
-
-    def sq_norm(self):
-        return float(self.cur @ self.cur)
-
-
-class _Anchored(_Plain):
-    """SVRG's estimator v = grad f_i(x_t) - grad f_i(x~) + grad F(x~); a
-    snapshot only sets the anchor x~."""
-
-    steps_at_snapshot = False
-    code = 1
+    def __init__(self, model, eta, counter, code, x0, weights=None):
+        self.model, self.eta, self.counter = model, eta, counter
+        self.code, self.weights = code, weights
+        self.steps_at_snapshot = code != 1
+        self.cur, self.prev, self.v = x0, None, None
 
     def snapshot(self, x, v):
-        self.anchor, self.mu, self.cur = x, v, x
+        self.prev, self.v = x, v
+        self.cur = x if self.code == 1 else x - self.eta * v
 
     def step(self, i):
         cg = self.model.component_gradient
-        v = (cg(i, self.cur, self.counter)
-             - cg(i, self.anchor, self.counter)) + self.mu
-        self.cur = self.cur - self.eta * v
-
-
-class _DenseRecursion(_Plain):
-    """The recursion v_t = grad f_i(x_t) - grad f_i(x_{t-1}) + v_{t-1} on
-    explicit iterates (the reference arithmetic).  With ``weights`` (D2S),
-    the increment is divided by w_i = n p_i."""
-
-    code = 2
-
-    def __init__(self, model, eta, counter, weights=None):
-        super().__init__(model, eta, counter)
-        self.weights = weights
-
-    def snapshot(self, x, v):
-        self.v, self.prev = v, x
-        self.cur = x - self.eta * v
-
-    def step(self, i):
-        cg = self.model.component_gradient
-        diff = cg(i, self.cur, self.counter) - cg(i, self.prev, self.counter)
+        g = cg(i, self.cur, self.counter)
+        if self.code == 0:
+            self.cur = self.cur - self.eta * g
+            return
+        diff = g - cg(i, self.prev, self.counter)
+        if self.code == 1:
+            self.cur = self.cur - self.eta * (diff + self.v)
+            return
         w = self.weights
         self.v = diff + self.v if w is None else diff / w[i] + self.v
         self.prev, self.cur = self.cur, self.cur - self.eta * self.v
 
     def materialise(self, prev=False):
         return self.prev if prev else self.cur
+
+    def sq_norm(self):
+        # np.vdot, unlike x @ x, checks no floating-point flags: an overflow
+        # here is the divergence guard's to report, without a RuntimeWarning
+        return float(np.vdot(self.cur, self.cur))
 
 
 class _LazyPoint:
@@ -531,15 +517,12 @@ def run(model, config: OptimizerConfig) -> RunResult:
 
     # estimator
     table = build_importance_table(model.lipschitz) if algo == "D2S" else None
-    if algo == "SGD":
-        est = _Plain(model, config.eta, st.counter, st.x0)
-    elif algo == "SVRG":
-        est = _Anchored(model, config.eta, st.counter)
+    weights = None if table is None else table.weights
+    if inner_step(model, algo) == "sparse":
+        est = _LazyRecursion(model, config.eta, st.counter, weights)
     else:
-        lazy = inner_step(model, algo) == "sparse"
-        est = (_LazyRecursion if lazy else _DenseRecursion)(
-            model, config.eta, st.counter,
-            None if table is None else table.weights)
+        est = _Dense(model, config.eta, st.counter,
+                     {"SGD": 0, "SVRG": 1}.get(algo, 2), st.x0, weights)
     sched = config.eta_schedule or (
         (lambda k: config.eta / (k + 1)) if algo == "SGD" else None)
 
@@ -557,6 +540,9 @@ def run(model, config: OptimizerConfig) -> RunResult:
         u_cap, s_cap = S * (m + 1 if est.steps_at_snapshot else m), -1
     else:
         u_cap, s_cap = (T + 1 if algo == "L2S" else T), -1
+    if u_cap > _INT64_MAX:
+        raise ConfigError(f"the update horizon ({u_cap} updates, from T, S "
+                          "and m) does not fit a signed 64-bit integer")
 
     # restart/output rule: x_a with a drawn per outer loop or once (L2S);
     # one step back (L2S-SC); else the current iterate

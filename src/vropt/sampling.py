@@ -99,8 +99,8 @@ class Rng:
 
     def below(self, n: int) -> int:
         """Exactly uniform integer in [0, n) via rejection sampling."""
-        if n < 1:
-            raise ContractError("below() requires n >= 1")
+        if not 1 <= n <= 1 << 64:
+            raise ContractError("below() requires 1 <= n <= 2**64")
         if n == 1:
             self._ctr += 1  # keep consumption uniform across n
             return 0
@@ -113,8 +113,8 @@ class Rng:
     def below_block(self, n: int, size: int) -> np.ndarray:
         """Block of exactly uniform integers in [0, n): the same values, and
         the same stream position after them, as ``size`` calls of below()."""
-        if n < 1:
-            raise ContractError("below_block() requires n >= 1")
+        if not 1 <= n <= 1 << 64:
+            raise ContractError("below_block() requires 1 <= n <= 2**64")
         if n == 1:
             self._ctr += size
             return np.zeros(size, dtype=np.int64)
@@ -130,7 +130,9 @@ class Rng:
                     else np.flatnonzero(raw < bound)[:want])
             if used.size == want:  # give back the draws past the last one used
                 self._ctr -= raw.size - 1 - int(used[-1])
-            out[filled:filled + used.size] = raw[used] % np.uint64(n)
+            # n = 2**64, which no uint64 holds, keeps every draw as it is
+            out[filled:filled + used.size] = (raw[used] if n == 1 << 64
+                                              else raw[used] % np.uint64(n))
             filled += used.size
         return out
 

@@ -274,6 +274,21 @@ eta_over_L = 0.5
         ("seeds = 0", "seeds =", "experiment needs at least one seed"),
         ("seeds = 0", "seeds = 0\nrecord_every_pass = none",
          "[experiment] record_every_pass: malformed value 'none'"),
+        ("n = 60", "n = 60\nn = 61",
+         "option 'n' in section 'dataset' already exists"),
+        ("\n[experiment]", "x = 1\n[experiment]",
+         "File contains no section headers"),
+        ("passes = 8", "passes = 8%", "[experiment] passes: malformed "
+         "value '8%'"),
+        ("algorithm = SARAH\n", "", "[optimizer.main] algorithm: missing"),
+        ("n = 60\n", "", "[dataset] n: missing"),
+        ("d = 5\n", "", "[dataset] d: missing"),
+        ("spread = 1.5", "spread = inf", "spread must be >= 1 and finite"),
+        ("lam = 0.02", "lam = nan", "lam must be >= 0 and finite"),
+        ("kind = logistic", "kind = nonconvex-logistic\nalpha = inf",
+         "alpha must be > 0 and finite"),
+        ("m = n", "m = 99999999999999999999",
+         "m=99999999999999999999 does not fit a signed 64-bit integer"),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, old,
                                               new, message):
@@ -285,6 +300,16 @@ eta_over_L = 0.5
         assert cli_main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_values_are_literal(self, tmp_path):
+        """No % interpolation: a value is read as written."""
+        cfg = tmp_path / "exp.ini"
+        write_demo_config(cfg, tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("name = cli-demo",
+                                               "name = cli-demo 50%(x)s"))
+        assert cli_main(["run", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["experiment"] == "cli-demo 50%(x)s"
 
     @pytest.mark.parametrize("text,message", [
         (None, "cannot read trace CSV"),
@@ -473,6 +498,16 @@ passes = 5
         err = capsys.readouterr().err
         assert err.startswith("error: [study] n_values: ")
         assert not out.exists()
+
+    def test_subsample_study_unreadable_config_is_config_error(self, tmp_path,
+                                                              capsys):
+        """subsample-study reads its config as ``run`` does."""
+        cfg = tmp_path / "study.ini"
+        cfg.write_text("[dataset]\nsynthetic = true\nn = 20\nn = 21\nd = 3\n")
+        assert cli_main(["subsample-study", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ")
+        assert "option 'n' in section 'dataset' already exists" in err
 
     def test_diag_fast(self, capsys):
         assert cli_main(["diag", "--fast"]) == 0

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -303,3 +304,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(n=3, d=3, spread=0.5)
         with pytest.raises(ConfigError):
             SyntheticSpec(n=3, d=3, noise_rate=0.7)
+
+    @pytest.mark.parametrize("spread", [0.5, math.nan, math.inf])
+    def test_spread_must_be_finite(self, spread):
+        with pytest.raises(ConfigError, match="spread must be >= 1 and fin"):
+            SyntheticSpec(n=3, d=3, spread=spread)

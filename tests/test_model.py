@@ -218,6 +218,20 @@ class TestSmoothness:
         with pytest.raises(ConfigError):
             LogisticModel(Dataset(rows=(), d=3), lam=0.0)
 
+    @pytest.mark.parametrize("model,param,value", [
+        (LogisticModel, "lam", -1.0), (LogisticModel, "lam", math.nan),
+        (LogisticModel, "lam", math.inf),
+        (NonconvexLogisticModel, "alpha", 0.0),
+        (NonconvexLogisticModel, "alpha", math.nan),
+        (NonconvexLogisticModel, "alpha", math.inf),
+        (NonconvexLogisticModel, "alpha", -math.inf)])
+    def test_regularizer_constant_rejected_by_name(self, tiny_dataset, model,
+                                                   param, value):
+        """NaN and +-inf fail the check too, which names the parameter
+        (not the step size derived from it later)."""
+        with pytest.raises(ConfigError, match=f"^{param} must be .* finite"):
+            model(tiny_dataset, **{param: value})
+
 
 def _random_pairs(model, count, seed):
     rng = Rng(seed)

@@ -44,12 +44,22 @@ class TestRng:
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() < 13
 
-    @pytest.mark.parametrize("n", [13, 1, 2**63 + 5])  # the last rejects ~1/2
+    # 2**63 + 5 rejects about half the draws; 2**64, the largest n, none
+    @pytest.mark.parametrize("n", [13, 1, 2**63 + 5, 2**64])
     def test_below_block_continues_like_scalar_draws(self, n):
         scalar, block = Rng(9, 4), Rng(9, 4)
         expected = [scalar.below(n) for _ in range(10)]
         assert block.below_block(n, 10).tolist() == expected
         assert block.next_u64() == scalar.next_u64()
+
+    @pytest.mark.parametrize("n", [0, 2**64 + 1, 2**70])
+    def test_below_refuses_n_outside_1_to_2_to_64(self, n):
+        """Beyond 2**64 the rejection bound would be 0 and no draw would
+        ever be accepted: refused, not an endless loop."""
+        with pytest.raises(ContractError, match="1 <= n <= 2"):
+            Rng(0).below(n)
+        with pytest.raises(ContractError, match="1 <= n <= 2"):
+            Rng(0).below_block(n, 3)
 
 
 class TestUniformIndex:

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from vropt import _kernel, optim
 from vropt.cli import main as cli_main
 from vropt.data import SyntheticSpec, generate_synthetic, write_libsvm
-from vropt.errors import DivergenceError
+from vropt.errors import ConfigError, DivergenceError
 from vropt.model import LogisticModel, NonconvexLogisticModel
 from vropt.optim import ALGORITHMS, OptimizerConfig, engine, inner_step, run
 from vropt.sampling import (STREAM_INDEX, STREAM_SNAPSHOT, ImportanceTable,
@@ -182,6 +183,57 @@ def test_traced_twin_sees_the_same_draws(models, monkeypatch):
         assert np.array_equal([v for s, v in seen if s == stream], drawn)
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_diverging_runs_warn_nothing(models, algo):
+    """A run whose iterates overflow ends in DivergenceError, on both
+    engines, and lets no numpy RuntimeWarning out (the squared norm of the
+    divergence guard overflows silently)."""
+    model = models["dense"]
+    horizon = dict(T=200) if algo in ("GD", "SGD", "L2S") else dict(S=4)
+    for scale in (1e10, 1e300, 1.7e308):
+        config = OptimizerConfig(algo, eta=_eta(model, algo, scale), m=30,
+                                 seed=2, **horizon)
+        for m in (model, Proxy(model)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcome = _outcome(m, config)
+            assert isinstance(outcome, tuple), (scale, outcome)
+            assert [str(w.message) for w in caught] == [], scale
+
+
+@pytest.mark.parametrize("kw,field", [
+    (dict(algorithm="SARAH", m=10 ** 20, S=2), "m=100000000000000000000"),
+    (dict(algorithm="SGD", T=2 ** 63), "T=9223372036854775808"),
+    (dict(algorithm="SVRG", m=4, S=2 ** 64), "S=18446744073709551616"),
+    (dict(algorithm="L2S", m=4, T=100, max_ifo=2 ** 63), "max_ifo="),
+    (dict(algorithm="SARAH", m=2 ** 62, S=2), "update horizon"),
+    (dict(algorithm="L2S", m=4, T=2 ** 63 - 1), "update horizon")])
+def test_counts_beyond_int64_are_refused(models, kw, field):
+    """m, T, S, max_ifo and the update horizon are the kernel's int64
+    counts: one beyond that range is a ConfigError naming it on both
+    engines, before any draw (the Python draw below(m + 1) never returned
+    for m >= 2**64)."""
+    model = models["dense"]
+    config = OptimizerConfig(eta=_eta(model, kw["algorithm"]), **kw)
+    for m in (model, Proxy(model)):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            run(m, config)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_unreachable_record_cadence_records_x0_only(models, algo):
+    """A trace threshold beyond every IFO count records x_0 alone, the same
+    on both engines."""
+    model = models["dense"]
+    horizon = dict(T=300) if algo in ("GD", "SGD", "L2S") else dict(S=3)
+    for cadence in (1e300, 1e308):
+        config = OptimizerConfig(algo, eta=_eta(model, algo), m=20,
+                                 record_every_pass=cadence, **horizon)
+        compiled = run(model, config)
+        assert len(compiled.trace) == 1 and compiled.trace.ifo[0] == 0
+        assert_same_run(compiled, run(Proxy(model), config))
+
+
 # -- the kernel's draws ------------------------------------------------------
 
 SPECIAL_N = st.sampled_from(
@@ -249,7 +301,8 @@ def test_fallback_runs_python_path(models, reference_runs, no_kernel,
                                    tmp_path, cause):
     model, reference = models["dense"], reference_runs
     if cause == "build failed":
-        pytest.importorskip("cffi")  # without it the loader stops earlier
+        # without cffi the loader stops earlier
+        pytest.importorskip("cffi", exc_type=ImportError)
 
         def no_compiler(name, cache):
             raise RuntimeError("no C compiler")
@@ -359,7 +412,7 @@ def test_unsafe_cache_is_never_loaded(no_kernel, tmp_path, flaw):
     """A cache directory, or a module in it, that someone else could have
     written is refused before its module is loaded, also when it holds a
     module under the right name, and nothing is built there."""
-    pytest.importorskip("cffi")
+    pytest.importorskip("cffi", exc_type=ImportError)
     name = _kernel.module_name()
     target = name + sysconfig.get_config_var("EXT_SUFFIX")
     real = tmp_path / "real"
@@ -401,7 +454,7 @@ def test_unsafe_cache_is_never_loaded(no_kernel, tmp_path, flaw):
 
 
 def test_new_cache_directory_is_private(no_kernel, tmp_path):
-    pytest.importorskip("cffi")
+    pytest.importorskip("cffi", exc_type=ImportError)
     cache = tmp_path / "a" / "cache"
     _kernel.load([cache], compile_fn=lambda name, cache: None)
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
@@ -410,7 +463,7 @@ def test_new_cache_directory_is_private(no_kernel, tmp_path):
 def test_failed_build_is_not_repeated(no_kernel, monkeypatch, tmp_path):
     """A compile that fails is recorded in the cache; the next load fails at
     once, without starting a process, until the record is deleted."""
-    pytest.importorskip("cffi")
+    pytest.importorskip("cffi", exc_type=ImportError)
     monkeypatch.setenv("CC", "false")  # found, and fails every compile
     assert _kernel.load([tmp_path]) is None
     failed = [p.name for p in tmp_path.iterdir()]
@@ -426,7 +479,7 @@ def test_failed_build_is_not_repeated(no_kernel, monkeypatch, tmp_path):
 
 def test_missing_compiler_starts_no_process(no_kernel, monkeypatch,
                                             tmp_path):
-    pytest.importorskip("cffi")
+    pytest.importorskip("cffi", exc_type=ImportError)
     monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
 
     def no_process(*args, **kwargs):
