@@ -34,12 +34,12 @@ def _ints(text: str) -> list[int]:
 
 def _read_config(path: str) -> configparser.ConfigParser:
     """The config file at ``path``, read once, its values literal (no
-    ``%`` interpolation); a file configparser cannot read is a ConfigError
-    naming it."""
+    ``%`` interpolation); a file configparser cannot read or decode is a
+    ConfigError naming it."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")

@@ -301,6 +301,13 @@ eta_over_L = 0.5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(b"[experiment]\nname = \xff\n")
+        assert cli_main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and "decode" in err
+
     def test_values_are_literal(self, tmp_path):
         """No % interpolation: a value is read as written."""
         cfg = tmp_path / "exp.ini"
