@@ -97,20 +97,24 @@ class OptimizerSetup:
         return int(rule)
 
     def resolve_eta(self, model, m: int) -> float:
-        picks = [v is not None for v in
-                 (self.eta, self.eta_over_L, self.eta_over_Lbar, self.regime)]
-        if sum(picks) != 1:
+        """The step size; a set value that gives no positive and finite step
+        is a ConfigError naming the label and the field."""
+        scales = {"eta": 1.0, "eta_over_L": model.L,
+                  "eta_over_Lbar": model.L_bar}
+        picked = [k for k in (*scales, "regime") if getattr(self, k) is not None]
+        if len(picked) != 1:
             raise ConfigError(
                 f"{self.label}: set exactly one of eta / eta_over_L / "
                 "eta_over_Lbar / regime"
             )
-        if self.eta is not None:
-            return float(self.eta)
-        if self.eta_over_L is not None:
-            return float(self.eta_over_L) / model.L
-        if self.eta_over_Lbar is not None:
-            return float(self.eta_over_Lbar) / model.L_bar
-        return plan_step_size(model, self.algorithm, self.regime, m).eta
+        if self.regime is not None:
+            return plan_step_size(model, self.algorithm, self.regime, m).eta
+        value = getattr(self, picked[0])
+        eta = float(value) / scales[picked[0]]
+        if not (eta > 0 and math.isfinite(eta)):
+            raise ConfigError(f"{self.label}: {picked[0]}={value} gives the "
+                              f"step {eta}, not positive and finite")
+        return eta
 
     def build_config(self, model, passes: int, seed: int,
                      record_every_pass: float | None) -> OptimizerConfig:
@@ -137,7 +141,7 @@ class ExperimentSpec:
     dataset: DatasetSpec
     loss: LossSpec
     optimizers: tuple
-    passes: int
+    passes: int = 30
     seeds: tuple = (0,)
     record_every_pass: float = 1.0
     out_dir: str = "results"
@@ -356,8 +360,8 @@ def emit_plot(trace_paths, out_path, style: str = "grad",
 # n-dependent vs n-independent step-size study on subsampled data
 # ---------------------------------------------------------------------------
 
-def subsample_study(dataset, n_values, passes: int = 30, seed: int = 0,
-                    out_path: str | None = None) -> list[dict]:
+def subsample_study(dataset, n_values=(10, 100, 1000), passes: int = 30,
+                    seed: int = 0, out_path: str | None = None) -> list[dict]:
     """For each subsample size run the loopless optimizer twice: once with the
     n-independent step 0.5/L, once with the n-dependent step at the quadratic
     maximum ~ 1/(L sqrt(m)); record the final squared gradient norms."""

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .data import SyntheticSpec
+from .data import SyntheticSpec, generate_synthetic
 from .diagnostics import (
     check_gradient_fd,
     compare_sampling_oracles,
@@ -28,14 +28,40 @@ from .errors import ConfigError, ParseError, VroptError
 from .model import LogisticModel, NonconvexLogisticModel
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _ints(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+# section -> {key: (spec field, parser)}, keys lowercase as configparser reads
+# them.  An absent key leaves the spec's default; a None field sets nothing.
+_KEYS = {
+    "experiment": {"name": ("name", str), "passes": ("passes", int),
+                   "seeds": ("seeds", _ints), "out": ("out_dir", str),
+                   "record_every_pass": ("record_every_pass", float)},
+    "dataset": {"synthetic": (None, lambda text: _BOOLEANS[text.lower()]),
+                "path": ("path", str), "name": ("name", str), "d": ("d", int)},
+    "loss": {"kind": ("kind", str), "lam": ("lam", float),
+             "alpha": ("alpha", float)},
+    "optimizer": {"algorithm": ("algorithm", str), "label": ("label", str),
+                  "eta": ("eta", float), "eta_over_l": ("eta_over_L", float),
+                  "eta_over_lbar": ("eta_over_Lbar", float),
+                  "regime": ("regime", str),
+                  "m": ("m_rule", lambda text: text if text in ("n", "sqrt_n")
+                        else str(int(text)))},
+    "study": {"n_values": ("n_values", _ints), "passes": ("passes", int)},
+}
+# the [dataset] keys under synthetic = true, a SyntheticSpec's
+_RECIPE = {"synthetic": _KEYS["dataset"]["synthetic"], "n": ("n", int),
+           "d": ("d", int), "spread": ("spread", float),
+           "noise": ("noise_rate", float), "seed": ("seed", int)}
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
-    """The config file at ``path``, read once, its values literal (no
-    ``%`` interpolation); a file configparser cannot read or decode is a
-    ConfigError naming it."""
+    """The config file at ``path``, its values literal.  A file configparser
+    cannot read, a section not in _KEYS or ``optimizer.<label>``, or keys in
+    [DEFAULT] (copied into every section) are a ConfigError."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
@@ -43,76 +69,48 @@ def _read_config(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    if cp.defaults():
+        raise ConfigError(f"[{cp.default_section}]: unknown section")
+    for name in cp.sections():
+        if name not in _KEYS and not name.startswith("optimizer."):
+            raise ConfigError(f"[{name}]: unknown section")
     return cp
 
 
-def _value(sec, key: str, parse, fallback=None, required=False):
-    """``parse(sec[key])``, or ``fallback`` when ``key`` is unset; a missing
-    ``required`` key, or a value that ``parse`` rejects, is a ConfigError
-    naming the section and key."""
-    if key not in sec:
-        if required:
-            raise ConfigError(f"[{sec.name}] {key}: missing")
-        return fallback
+def _spec(cp, section: str, cls, keys: dict, /, *required, **fields):
+    """``cls(**fields)`` plus the fields ``section`` sets, each parsed by
+    its entry in ``keys``.  An unknown key, a missing ``required`` one, a
+    rejected value or a ConfigError of ``cls`` names the section."""
+    sec = cp[section] if cp.has_section(section) else {}
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"[{section}] {key}: missing")
+    for key, text in sec.items():
+        if key not in keys:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+        field, parse = keys[key]
+        try:
+            fields[field] = parse(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"[{section}] {key}: malformed value "
+                              f"{text!r}") from None
+    fields.pop(None, None)
     try:
-        return parse(sec[key])
-    except ValueError:
-        raise ConfigError(f"[{sec.name}] {key}: malformed value "
-                          f"{sec[key]!r}") from None
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _parse_dataset(cp: configparser.ConfigParser) -> bench.DatasetSpec:
+def _dataset(cp: configparser.ConfigParser) -> bench.DatasetSpec:
     if not cp.has_section("dataset"):
         raise ConfigError("config needs a [dataset] section")
-    sec = cp["dataset"]
-    if _value(sec, "synthetic", lambda _: sec.getboolean("synthetic"), False):
-        return bench.DatasetSpec(synthetic=SyntheticSpec(
-            n=_value(sec, "n", int, required=True),
-            d=_value(sec, "d", int, required=True),
-            spread=_value(sec, "spread", float, 1.0),
-            noise_rate=_value(sec, "noise", float, 0.0),
-            seed=_value(sec, "seed", int, 0),
-        ))
-    if "path" not in sec:
+    if _BOOLEANS.get(cp["dataset"].get("synthetic", "").lower()):
+        return bench.DatasetSpec(synthetic=_spec(
+            cp, "dataset", SyntheticSpec, _RECIPE, "n", "d"))
+    fields = _spec(cp, "dataset", dict, _KEYS["dataset"])
+    if "path" not in fields:
         raise ConfigError("[dataset] needs synthetic=true or a path")
-    return bench.DatasetSpec(
-        path=sec["path"],
-        name=sec.get("name", fallback=Path(sec["path"]).name),
-        d=_value(sec, "d", int),
-    )
-
-
-def _parse_loss(cp) -> bench.LossSpec:
-    if not cp.has_section("loss"):
-        return bench.LossSpec()
-    sec = cp["loss"]
-    return bench.LossSpec(
-        kind=sec.get("kind", fallback="logistic"),
-        lam=_value(sec, "lam", float, 0.0),
-        alpha=_value(sec, "alpha", float, 1.0),
-    )
-
-
-def _parse_optimizers(cp) -> tuple:
-    setups = []
-    for section in cp.sections():
-        if not section.startswith("optimizer"):
-            continue
-        sec = cp[section]
-        label = sec.get("label", fallback=section.split(".", 1)[-1])
-        m_rule = sec.get("m", fallback="n")
-        if m_rule not in ("n", "sqrt_n"):
-            _value(sec, "m", int)  # must then be an integer literal
-        setups.append(bench.OptimizerSetup(
-            algorithm=_value(sec, "algorithm", str, required=True),
-            label=label,
-            eta=_value(sec, "eta", float),
-            eta_over_L=_value(sec, "eta_over_L", float),
-            eta_over_Lbar=_value(sec, "eta_over_Lbar", float),
-            regime=sec.get("regime", fallback=None),
-            m_rule=m_rule,
-        ))
-    return tuple(setups)
+    return bench.DatasetSpec(**{"name": Path(fields["path"]).name, **fields})
 
 
 def load_experiment_spec(path: str, seed_override: int | None = None,
@@ -120,20 +118,18 @@ def load_experiment_spec(path: str, seed_override: int | None = None,
     cp = _read_config(path)
     if not cp.has_section("experiment"):
         raise ConfigError("config needs an [experiment] section")
-    exp = cp["experiment"]
-    seeds = tuple(_value(exp, "seeds", _ints, [0]))
     if seed_override is not None:
-        seeds = (seed_override,)
-    return bench.ExperimentSpec(
-        name=exp.get("name", fallback=Path(path).stem),
-        dataset=_parse_dataset(cp),
-        loss=_parse_loss(cp),
-        optimizers=_parse_optimizers(cp),
-        passes=_value(exp, "passes", int, 30),
-        seeds=seeds,
-        record_every_pass=_value(exp, "record_every_pass", float, 1.0),
-        out_dir=out_override or exp.get("out", fallback="results"),
-    )
+        cp["experiment"]["seeds"] = str(seed_override)
+    if out_override:
+        cp["experiment"]["out"] = out_override
+    optimizers = tuple(
+        _spec(cp, name, bench.OptimizerSetup, _KEYS["optimizer"],
+              "algorithm", label=name.split(".", 1)[-1])
+        for name in cp.sections() if name.partition(".")[0] == "optimizer")
+    return _spec(cp, "experiment", bench.ExperimentSpec, _KEYS["experiment"],
+                 name=Path(path).stem, dataset=_dataset(cp),
+                 loss=_spec(cp, "loss", bench.LossSpec, _KEYS["loss"]),
+                 optimizers=optimizers)
 
 
 def _cmd_run(args) -> int:
@@ -161,8 +157,6 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    from .data import generate_synthetic
-
     failures = 0
     records = []
 
@@ -252,15 +246,11 @@ def _cmd_diag(args) -> int:
 
 def _cmd_subsample_study(args) -> int:
     cp = _read_config(args.config)
-    dataset = _parse_dataset(cp).load()
-    sec = cp["study" if cp.has_section("study") else cp.default_section]
-    n_values = _value(sec, "n_values", _ints, [10, 100, 1000])
-    passes = _value(sec, "passes", int, 30)
-    rows = bench.subsample_study(
-        dataset, n_values, passes=passes,
-        seed=args.seed if args.seed is not None else 0,
-        out_path=args.out,
-    )
+    study = _spec(cp, "study", dict, _KEYS["study"])
+    if args.seed is not None:
+        study["seed"] = args.seed
+    rows = bench.subsample_study(_dataset(cp).load(), out_path=args.out,
+                                 **study)
     for r in rows:
         print(f"  n'={r['n_sub']:<7d} {r['config']:14s} eta={r['eta']:.4g} "
               f"final ||grad F||^2 = {r['final_grad_sq']:.3e}")
@@ -310,12 +300,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VroptError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, ParseError)) else 1
 
 
 if __name__ == "__main__":

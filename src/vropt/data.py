@@ -28,6 +28,7 @@ from .sampling import Rng
 _STREAM_FEATURES = 10
 _STREAM_PLANE = 11
 _STREAM_NOISE = 12
+_BASE_NORM = 2.0  # smallest synthetic row norm (L_i floor = base^2/4)
 
 
 def _check_rows(indptr, indices, values):
@@ -129,7 +130,6 @@ class SyntheticSpec:
     spread: float = 1.0      # max/min target row norm; 1 = homogeneous
     noise_rate: float = 0.0  # label flip probability
     seed: int = 0
-    base_norm: float = 2.0   # smallest row norm (L_i floor = base^2/4)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -349,14 +349,18 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Gaussian rows rescaled to a controlled norm spread, labels from a
     planted hyperplane with optional flip noise.
 
-    Target norms ramp from base_norm to spread*base_norm following
+    Target norms ramp from _BASE_NORM to spread*_BASE_NORM following
     spread**(q**2) with q in [0, 1]: a quadratic ramp leaves most rows near
     the floor and a pronounced heavy tail, so max L_i / mean L_i grows
     with the spread (>= 5 at spread = 10).
     """
     n, d = spec.n, spec.d
     frng = Rng(spec.seed, stream=_STREAM_FEATURES)
-    G = _standard_normals(frng, n * d).reshape(n, d)
+    try:  # numpy refuses a block past the address space before filling it
+        G = _standard_normals(frng, n * d).reshape(n, d)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"n={n} by d={d} features cannot be "
+                          "allocated") from None
     # avoid degenerate all-zero rows
     norms = np.sqrt((G * G).sum(axis=1))
     norms[norms == 0] = 1.0
@@ -366,7 +370,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     else:
         q = np.arange(n) / (n - 1)
         ramp = spec.spread ** (q * q)
-    target = spec.base_norm * ramp
+    target = _BASE_NORM * ramp
     A = G * (target / norms)[:, None]
 
     prng = Rng(spec.seed, stream=_STREAM_PLANE)

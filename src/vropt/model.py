@@ -171,13 +171,20 @@ class _MarginModel:
         # same ddot): a vectorised sum rounds differently in the last bit,
         # and L sets every step size
         self.row_sq_norms = _kernel.row_sq_norms(dataset.indptr, dataset.values)
-        if self.row_sq_norms is None:
-            ptr, vals = dataset.indptr.tolist(), dataset.values
-            self.row_sq_norms = np.array(
-                [vals[lo:hi] @ vals[lo:hi] for lo, hi in zip(ptr, ptr[1:])])
-        self.lipschitz = self.row_sq_norms / 4.0 + reg_smoothness
-        self.L = float(self.lipschitz.max())
-        self.L_bar = float(self.lipschitz.mean())
+        with np.errstate(over="ignore"):  # refused by name just below
+            if self.row_sq_norms is None:
+                ptr, vals = dataset.indptr.tolist(), dataset.values
+                self.row_sq_norms = np.array([vals[lo:hi] @ vals[lo:hi]
+                                              for lo, hi in zip(ptr, ptr[1:])])
+            self.lipschitz = self.row_sq_norms / 4.0 + reg_smoothness
+            self.L = float(self.lipschitz.max())
+            self.L_bar = float(self.lipschitz.mean())
+        if not math.isfinite(self.L_bar):
+            raise ConfigError(
+                "a row's squared norm overflows a double"
+                if math.isinf(self.row_sq_norms.max()) else
+                f"L_bar, the mean of ||a_i||^2/4 + {reg_smoothness:g} over "
+                "the rows, overflows a double")
 
     def _row(self, i):
         """(indices, values, label) of row i; the arrays are views."""

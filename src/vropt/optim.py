@@ -344,7 +344,8 @@ def inner_step(model, algorithm: str) -> str:
     models keep the dense path, which is the bit-exact reference.  That
     crossover was measured against the Python dense loop; the compiled
     dense steps beat the lazy ones up to about d = 8192 at 8 nonzeros per
-    row (ROADMAP item 2).
+    row, so this rule picks the slower path there until it is measured
+    against a compiled lazy step, which does not exist yet.
     Read through plain attribute access, so a delegating proxy gets the
     same answer.
     """
@@ -493,7 +494,8 @@ def engine(model, algorithm: str) -> str:
     (a library model, whose oracles the kernel repeats), the two draw
     functions are still the ``sampling`` ones, and the inner steps are
     dense, so any proxy model or rebound draw takes the Python path.  GD
-    has no inner steps; the lazy recursion stays in Python (ROADMAP item 2).
+    has no inner steps, and the lazy recursion has no compiled form: sparse
+    inner steps always run in Python.
     """
     compiled = (_kernel.lib is not None and algorithm != "GD"
                 and kernel_view(model) is not None

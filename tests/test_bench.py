@@ -289,6 +289,28 @@ eta_over_L = 0.5
          "alpha must be > 0 and finite"),
         ("m = n", "m = 99999999999999999999",
          "m=99999999999999999999 does not fit a signed 64-bit integer"),
+        ("lam = 0.02", "lam = 1e308", "L_bar, the mean of ||a_i||^2/4 + "
+         "1e+308 over the rows, overflows a double"),
+        ("spread = 1.5", "spread = 1e300",
+         "a row's squared norm overflows a double"),
+        ("n = 60", "n = 100000000000000000",
+         "n=100000000000000000 by d=5 features cannot be allocated"),
+        ("n = 60", "n = 100000000000000000000",
+         "n=100000000000000000000 by d=5 features cannot be allocated"),
+        ("d = 5", "d = 9223372036854775807",
+         "n=60 by d=9223372036854775807 features cannot be allocated"),
+        ("eta_over_L = 0.5", "eta_over_L = nan",
+         "main: eta_over_L=nan gives the step nan"),
+        ("eta_over_L = 0.5", "eta_over_Lbar = -inf",
+         "main: eta_over_Lbar=-inf gives the step -inf"),
+        ("lam = 0.02", "lamda = 0.02", "[loss] lamda: unknown key"),
+        ("[optimizer.main]", "[optimiser.main]",
+         "[optimiser.main]: unknown section"),
+        ("\n[experiment]", "[DEFAULT]\nlam = 0.02\n[experiment]",
+         "[DEFAULT]: unknown section"),
+        ("spread = 1.5", "spread = 1.5\npath = x.libsvm",
+         "[dataset] path: unknown key"),
+        ("spread = 1.5", "spread = 0.5", "[dataset] spread must be >= 1"),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, old,
                                               new, message):
@@ -505,6 +527,18 @@ passes = 5
         err = capsys.readouterr().err
         assert err.startswith("error: [study] n_values: ")
         assert not out.exists()
+
+    def test_subsample_study_reads_only_study_keys(self, tmp_path, capsys):
+        """[study] keys are checked; [DEFAULT] is refused, not read."""
+        cfg = tmp_path / "study.ini"
+        for text, message in (("[study]\nn_value = 10\n", "[study] n_value: "
+                               "unknown key"),
+                              ("[DEFAULT]\nn_values = 10\n",
+                               "[DEFAULT]: unknown section")):
+            cfg.write_text("[dataset]\nsynthetic = true\nn = 20\nd = 3\n"
+                           + text)
+            assert cli_main(["subsample-study", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_subsample_study_unreadable_config_is_config_error(self, tmp_path,
                                                               capsys):
