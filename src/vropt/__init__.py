@@ -12,12 +12,7 @@ from .errors import (
     ParseError,
     VroptError,
 )
-from .model import (
-    IfoCounter,
-    LogisticModel,
-    NonconvexLogisticModel,
-    SparseRow,
-)
+from .model import IfoCounter, LogisticModel, NonconvexLogisticModel
 from .optim import ALGORITHMS, OptimizerConfig, RunResult, run
 from .planner import (
     PlannedStep,
@@ -47,7 +42,7 @@ __all__ = [
     "DescentViolation", "DivergenceError", "IfoCounter", "ImportanceTable",
     "LogisticModel", "NonconvexLogisticModel", "NumericError",
     "OptimizerConfig", "ParseError", "PlannedStep", "Rng", "RunResult",
-    "SparseRow", "SyntheticSpec", "VroptError",
+    "SyntheticSpec", "VroptError",
     "build_importance_table", "c_eta", "draw_snapshot_flag",
     "draw_uniform_index", "eta_max_nonconvex", "generate_synthetic",
     "lambda_last_iterate", "lambda_loopless_sc", "parse_libsvm",

@@ -24,7 +24,8 @@ from . import data as data_mod
 from .errors import ConfigError, DivergenceError
 from .model import LogisticModel, NonconvexLogisticModel
 from .optim import OptimizerConfig, Trace, engine, inner_step, run
-from .planner import eta_max_nonconvex, plan_step_size
+from .planner import plan_step_size
+from .sampling import check_seed
 
 CSV_SCHEMA = "trace-v1"
 CSV_COLUMNS = ("algorithm", "seed", "effective_pass", "ifo", "subopt",
@@ -58,8 +59,13 @@ class DatasetSpec:
                 f"{LIBSVM_URL} and place it there, or set ${DATA_DIR_ENV} to "
                 f"the directory holding it"
             )
-        with open(path, "r") as fh:
-            return data_mod.parse_libsvm(fh, d=self.d, name=self.name)
+        try:
+            with open(path, "rb") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read dataset file {path}: "
+                              f"{exc.strerror or exc}") from None
+        return data_mod.parse_libsvm(text, d=self.d, name=self.name)
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,8 @@ class ExperimentSpec:
             raise ConfigError("experiment needs at least one optimizer")
         if not self.seeds:
             raise ConfigError("experiment needs at least one seed")
+        for seed in self.seeds:
+            check_seed(seed, "seeds")
         if self.passes < 1:
             raise ConfigError("pass budget must be >= 1")
         if self.record_every_pass is None:
@@ -362,31 +370,28 @@ def emit_plot(trace_paths, out_path, style: str = "grad",
 
 def subsample_study(dataset, n_values=(10, 100, 1000), passes: int = 30,
                     seed: int = 0, out_path: str | None = None) -> list[dict]:
-    """For each subsample size run the loopless optimizer twice: once with the
-    n-independent step 0.5/L, once with the n-dependent step at the quadratic
-    maximum ~ 1/(L sqrt(m)); record the final squared gradient norms."""
+    """For each subsample size run L2S (m = n, unregularized logistic loss)
+    in the planner's two convex regimes: the n-independent step 0.5/L and the
+    n-dependent ~ 1/(L sqrt(m)); record the final squared gradient norms."""
     if not n_values:
         raise ConfigError("[study] n_values: needs at least one subsample "
                           "size")
+    if not all(1 <= n_sub <= dataset.n for n_sub in n_values):
+        raise ConfigError(f"[study] n_values: each needs 1 <= n_sub <= "
+                          f"{dataset.n} (the dataset's n), got "
+                          + " ".join(map(str, n_values)))
+    check_seed(seed)
     rows = []
     for n_sub in n_values:
-        sub = data_mod.subsample(dataset, n_sub, seed=seed)
-        model = LogisticModel(sub, lam=0.0)
-        m = n_sub
-        for tag, eta in (
-            ("n-independent", 0.5 / model.L),
-            ("n-dependent", eta_max_nonconvex(m, model.L)),
-        ):
-            budget = passes * model.n
-            config = OptimizerConfig(
-                algorithm="L2S", eta=eta, m=m, T=budget, seed=seed,
-                record_every_pass=None, max_ifo=budget,
-            )
+        model = LossSpec().build(data_mod.subsample(dataset, n_sub, seed=seed))
+        for tag in ("n-independent", "n-dependent"):
+            config = OptimizerSetup("L2S", tag, regime="convex-" + tag
+                                    ).build_config(model, passes, seed, None)
             result = run(model, config)
             g = model.full_gradient(result.x_out)
             rows.append({
-                "n_sub": n_sub, "config": tag, "eta": eta, "m": m,
-                "final_grad_sq": float(g @ g),
+                "n_sub": n_sub, "config": tag, "eta": config.eta,
+                "m": config.m, "final_grad_sq": float(g @ g),
                 "total_ifo": result.total_ifo,
             })
     if out_path is not None:

@@ -5,7 +5,8 @@ A :class:`Dataset` is held once, as CSR arrays that every layer shares:
 ``indptr`` (row i is ``indptr[i]:indptr[i+1]``), ``indices`` (0-based,
 strictly increasing per row), ``values`` (finite, nonzero) and labels ``y``
 (+/-1).  They are validated in bulk when the dataset is built and are
-read-only afterwards.  :class:`SparseRow` is a construction helper.
+read-only afterwards.  :attr:`Dataset.rows` views them row by row, as
+:class:`SparseRow` objects.
 
 Real datasets (a9a, w7a, rcv1.binary) are never downloaded by this package;
 fetch them manually from the LIBSVM binary collection
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, ContractError, ParseError
-from .sampling import Rng
+from .sampling import Rng, check_seed
 
 # substream ids for synthetic generation
 _STREAM_FEATURES = 10
@@ -49,20 +50,14 @@ def _check_rows(indptr, indices, values):
         raise ContractError("values must be finite and nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SparseRow:
-    """One datum: sparse features plus a +/-1 label."""
+    """One datum of a Dataset, as read-only views of its arrays: sparse
+    features plus a +/-1 label."""
 
     indices: np.ndarray
     values: np.ndarray
     label: float
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        _check_rows(np.array([0, idx.size]), idx, val)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
 
     def sq_norm(self) -> float:
         return float(self.values @ self.values)
@@ -76,17 +71,10 @@ def _frozen(array, dtype) -> np.ndarray:
 
 class Dataset:
     """n labelled sparse rows over d features as CSR arrays (see the module
-    docstring).  Pass the arrays, or ``rows=`` a sequence of SparseRow."""
+    docstring)."""
 
-    def __init__(self, indptr=None, indices=None, values=None, y=None, *,
-                 d: int, name: str = "unnamed", rows=None):
-        if rows is not None:
-            rows = tuple(rows)
-            indptr = np.cumsum([0] + [r.indices.size for r in rows])
-            indices = np.concatenate([np.empty(0, np.int64)]
-                                     + [r.indices for r in rows])
-            values = np.concatenate([np.empty(0)] + [r.values for r in rows])
-            y = [float(r.label) for r in rows]
+    def __init__(self, indptr, indices, values, y, *, d: int,
+                 name: str = "unnamed"):
         self.indptr = _frozen(indptr, np.int64)
         self.indices = _frozen(indices, np.int64)
         self.values = _frozen(values, np.float64)
@@ -112,15 +100,10 @@ class Dataset:
 
     @property
     def rows(self) -> tuple:
-        """The rows as SparseRow objects over views of the arrays, which
-        were checked in bulk, so the rows are not checked again."""
-        ptr, rows = self.indptr.tolist(), []
-        for lo, hi, label in zip(ptr, ptr[1:], self.y.tolist()):
-            row = object.__new__(SparseRow)  # without __post_init__'s check
-            row.__dict__.update(indices=self.indices[lo:hi],
-                                values=self.values[lo:hi], label=label)
-            rows.append(row)
-        return tuple(rows)
+        """The rows as SparseRow objects over views of the arrays."""
+        ptr = self.indptr.tolist()
+        return tuple(SparseRow(self.indices[lo:hi], self.values[lo:hi], label)
+                     for lo, hi, label in zip(ptr, ptr[1:], self.y.tolist()))
 
 
 @dataclass(frozen=True)
@@ -138,6 +121,7 @@ class SyntheticSpec:
             raise ConfigError("spread must be >= 1 and finite")
         if not 0.0 <= self.noise_rate <= 0.5:
             raise ConfigError("noise_rate must be in [0, 0.5]")
+        check_seed(self.seed)
 
 
 # line breaks (as str.splitlines() counts them) to b"\n", the other

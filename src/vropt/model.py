@@ -33,7 +33,6 @@ import math
 import numpy as np
 
 from . import _kernel
-from .data import SparseRow  # noqa: F401  (re-exported)
 from .errors import ConfigError, ContractError, NumericError
 
 _BLOCK = 512  # rows per block of the bulk (unmetered) gradient helpers
@@ -167,7 +166,7 @@ class _MarginModel:
         self._A, self._b = _CSR(dataset), dataset.y
         # indexing a memoryview gives a Python number, faster than numpy's
         self._bounds, self._labels = memoryview(dataset.indptr), memoryview(dataset.y)
-        # one BLAS dot per row, as SparseRow.sq_norm (the kernel calls the
+        # one BLAS dot per row, as a row view's sq_norm (the kernel calls the
         # same ddot): a vectorised sum rounds differently in the last bit,
         # and L sets every step size
         self.row_sq_norms = _kernel.row_sq_norms(dataset.indptr, dataset.values)

@@ -110,6 +110,7 @@ def validate_config(config: OptimizerConfig) -> None:
         if value is not None and abs(value) > _INT64_MAX:
             raise ConfigError(f"{name}={value} does not fit a signed 64-bit "
                               "integer")
+    sampling.check_seed(config.seed)
     if not (config.eta > 0 and math.isfinite(config.eta)):
         raise ConfigError("eta must be positive and finite")
     if config.T is not None and config.S is not None:

@@ -51,6 +51,13 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def check_seed(seed: int, field: str = "seed", error=ConfigError) -> None:
+    """Refuse a seed outside [0, 2**64), which Rng would otherwise reduce
+    onto the streams of another seed, as ``error`` naming ``field``."""
+    if not 0 <= seed <= _MASK:
+        raise error(f"{field}={seed} is not in [0, 2**64)")
+
+
 class Rng:
     """One deterministic 64-bit output stream, identified by (seed, stream).
 
@@ -62,8 +69,8 @@ class Rng:
     __slots__ = ("seed", "stream", "_start", "_gamma", "_ctr", "_bound_cache")
 
     def __init__(self, seed: int, stream: int = 0):
-        seed64 = seed & _MASK
-        sbase = _mix64(seed64)
+        check_seed(seed, error=ContractError)
+        sbase = _mix64(seed)
         tweak = _mix64(((stream & _MASK) + _GOLDEN) & _MASK)
         self.seed = seed
         self.stream = stream

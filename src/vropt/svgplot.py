@@ -5,6 +5,7 @@ display."""
 from __future__ import annotations
 
 import math
+from html import escape
 
 from .errors import ConfigError
 
@@ -44,9 +45,10 @@ def render_line_plot(series, *, xlabel: str, ylabel: str,
     """series: iterable of (label, x array, y array).  Returns SVG text.
 
     The y axis is logarithmic with ticks at powers of ten; non-positive y
-    values are dropped (cannot be drawn).
+    values are dropped (cannot be drawn).  The text is escaped for XML.
     """
-    series = [(str(lab), list(map(float, xs)), list(map(float, ys)))
+    xlabel, ylabel, title = escape(xlabel), escape(ylabel), escape(title)
+    series = [(escape(str(lab)), list(map(float, xs)), list(map(float, ys)))
               for lab, xs, ys in series]
     if not series or all(len(xs) == 0 for _, xs, _ in series):
         raise ConfigError("nothing to plot")

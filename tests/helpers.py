@@ -3,19 +3,16 @@
 import numpy as np
 
 from vropt.data import Dataset
-from vropt.model import SparseRow
 
 
 def make_homogeneous_dataset(n=16, d=24, nnz=4, value=1.5):
     """Rows with identical value multiset (hence bit-identical ||a_i||^2 and
     L_i) at shifted column positions.  Used by the exact-reduction tests."""
-    rows = []
-    for i in range(n):
-        idx = np.sort((i + 3 * np.arange(nnz)) % d).astype(np.int64)
-        rows.append(SparseRow(indices=idx,
-                              values=np.full(nnz, value),
-                              label=1.0 if i % 2 == 0 else -1.0))
-    return Dataset(rows=tuple(rows), d=d, name="homogeneous")
+    indices = np.concatenate(
+        [np.sort((i + 3 * np.arange(nnz)) % d) for i in range(n)])
+    return Dataset(np.arange(n + 1) * nnz, indices, np.full(n * nnz, value),
+                   np.where(np.arange(n) % 2 == 0, 1.0, -1.0), d=d,
+                   name="homogeneous")
 
 
 def make_sparse_dataset(n=300, d=1024, nnz=12, seed=0, scale=1.0):

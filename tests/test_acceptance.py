@@ -282,10 +282,8 @@ def test_criterion_08_bit_exact_reductions():
         np.array_equal(c.x_out, d.x_out)
 
     from vropt.data import Dataset
-    from vropt.model import SparseRow
-    row = SparseRow(indices=np.array([0, 1], dtype=np.int64),
-                    values=np.array([1.5, -0.5]), label=1.0)
-    m1 = LogisticModel(Dataset(rows=(row,), d=2), lam=0.2)
+    m1 = LogisticModel(Dataset([0, 2], [0, 1], [1.5, -0.5], [1.0], d=2),
+                       lam=0.2)
     sched = lambda k: 1.0 / (m1.L * (k + 1))
     e = run(m1, OptimizerConfig("SGD", eta=1.0 / m1.L, T=40, seed=7,
                                 eta_schedule=sched, record_iterates=True))

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -168,6 +170,24 @@ class TestSvgPlot:
         with pytest.raises(ConfigError):
             render_line_plot([], xlabel="x", ylabel="y")
 
+    def test_text_is_escaped(self):
+        svg = render_line_plot([('A&B <"x">', [0, 1], [1.0, 0.1])],
+                               xlabel="x < y", ylabel='"y" & z',
+                               title='A&B <"t">')
+        root = ElementTree.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        for text in ('A&B <"x">', "x < y", '"y" & z', 'A&B <"t">'):
+            assert text in texts
+
+    def test_plain_text_bytes_unchanged(self):
+        svg = render_line_plot(
+            [("SARAH (seed 0)", [0, 1, 2], [1.0, 0.1, 0.01]),
+             ("L2S (seed 1)", [0, 1, 2], [2.0, 0.3, 1e-5])],
+            xlabel="effective passes (IFO / n)", ylabel="||grad F(x)||^2",
+            title="race: n=500")
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "27556d4f9b324456d376b0e567e29967387cbba64e064126216866a0da2a8a9a")
+
 
 class TestSubsampleStudy:
     def test_degenerate_single_size(self, tiny_dataset):
@@ -181,6 +201,19 @@ class TestSubsampleStudy:
         with pytest.raises(ConfigError, match=r"\[study\] n_values"):
             bench.subsample_study(tiny_dataset, [], out_path=str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_values", [[0], [10, 21]])
+    def test_sizes_outside_the_dataset_are_refused(self, tiny_dataset,
+                                                   tmp_path, n_values):
+        out = tmp_path / "study.csv"
+        with pytest.raises(ConfigError, match=r"\[study\] n_values: .* <= 20"):
+            bench.subsample_study(tiny_dataset, n_values, out_path=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_0_to_2_to_64_is_refused(self, tiny_dataset, seed):
+        with pytest.raises(ConfigError, match=rf"seed={seed} is not in"):
+            bench.subsample_study(tiny_dataset, [10], seed=seed)
 
     def test_directional_claims(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(n=1000, d=8, spread=2.0,
@@ -311,6 +344,10 @@ eta_over_L = 0.5
         ("spread = 1.5", "spread = 1.5\npath = x.libsvm",
          "[dataset] path: unknown key"),
         ("spread = 1.5", "spread = 0.5", "[dataset] spread must be >= 1"),
+        ("seed = 42", "seed = -3", "[dataset] seed=-3 is not in [0, 2**64)"),
+        ("seeds = 0", "seeds = -1", "seeds=-1 is not in [0, 2**64)"),
+        ("seeds = 0", "seeds = 18446744073709551616",
+         "seeds=18446744073709551616 is not in [0, 2**64)"),
     ])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, old,
                                               new, message):
@@ -322,6 +359,23 @@ eta_over_L = 0.5
         assert cli_main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+    def test_unreadable_dataset_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "data.libsvm"
+        if kind == "directory":
+            path.mkdir()
+            message = f"error: cannot read dataset file {path}: "
+        else:
+            path.write_bytes(b"+1 1:1.5\n-1 2:\xff0.5\n")
+            message = "error: line 2: bad feature token "
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\npasses = 2\nout = {tmp_path / 'out'}\n"
+                       f"[dataset]\npath = {path}\n"
+                       "[optimizer.gd]\nalgorithm = GD\neta_over_L = 0.5\n")
+        assert cli_main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_undecodable_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
@@ -527,6 +581,16 @@ passes = 5
         err = capsys.readouterr().err
         assert err.startswith("error: [study] n_values: ")
         assert not out.exists()
+
+    def test_subsample_study_size_above_n_is_config_error(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text("[dataset]\nsynthetic = true\nn = 50\nd = 3\n\n"
+                       "[study]\nn_values = 10 100\n")
+        assert cli_main(["subsample-study", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [study] n_values: each needs 1 <= n_sub <= 50 (the "
+            "dataset's n), got 10 100\n")
 
     def test_subsample_study_reads_only_study_keys(self, tmp_path, capsys):
         """[study] keys are checked; [DEFAULT] is refused, not read."""

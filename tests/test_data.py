@@ -196,8 +196,12 @@ class TestSubsample:
         for i in range(7):
             j = i + rng.below(tiny_dataset.n - i)
             pool[i], pool[j] = pool[j], pool[i]
-        rows = tiny_dataset.rows
-        expected = Dataset(rows=[rows[i] for i in pool[:7]], d=tiny_dataset.d)
+        n, d = tiny_dataset.n, tiny_dataset.d  # synthetic rows are dense
+        assert np.array_equal(tiny_dataset.indptr, np.arange(n + 1) * d)
+        take = pool[:7]
+        expected = Dataset(np.arange(8) * d, np.tile(np.arange(d), 7),
+                           tiny_dataset.values.reshape(n, d)[take].ravel(),
+                           tiny_dataset.y[take], d=d)
         assert datasets_equal(subsample(tiny_dataset, 7, seed=5), expected)
 
     def test_seeds_give_different_index_sets(self):
@@ -223,8 +227,6 @@ class TestDataset:
         assert [list(r.indices) for r in ds.rows] == [[0, 3], [], [1]]
         assert all(np.shares_memory(r.values, ds.values)
                    for r in ds.rows if r.values.size)
-        again = Dataset(rows=ds.rows, d=4)
-        assert datasets_equal(again, ds)
 
     def test_arrays_are_read_only(self):
         ds = Dataset(**self.VALID, d=4)
@@ -247,31 +249,31 @@ class TestDataset:
 
     def test_sparse_row_enforces_the_same_contract(self):
         with pytest.raises(ContractError):
-            SparseRow(indices=np.array([2, 2]), values=np.ones(2), label=1.0)
+            Dataset([0, 2], [2, 2], np.ones(2), [1.0], d=3)
 
     def test_rows_equal_checked_rows(self, tiny_dataset):
-        """Dataset.rows skips the per-row check, and gives the rows that the
-        checking constructor gives."""
+        """Dataset.rows gives read-only views equal to the rows the arrays
+        hold, and the rows' contract is checked when the arrays are."""
         for ds in (Dataset(**self.VALID, d=4), tiny_dataset):
             ptr = ds.indptr.tolist()
-            checked = [SparseRow(ds.indices[lo:hi], ds.values[lo:hi], label)
-                       for lo, hi, label in zip(ptr, ptr[1:], ds.y.tolist())]
+            want = [(np.array(ds.indices[lo:hi]), np.array(ds.values[lo:hi]),
+                     label)
+                    for lo, hi, label in zip(ptr, ptr[1:], ds.y.tolist())]
             rows = ds.rows
-            assert len(rows) == len(checked) == ds.n
-            for row, want in zip(rows, checked):
+            assert len(rows) == len(want) == ds.n
+            for row, (indices, values, label) in zip(rows, want):
                 assert type(row) is SparseRow
-                for got, ref in ((row.indices, want.indices),
-                                 (row.values, want.values)):
+                for got, ref in ((row.indices, indices), (row.values, values)):
                     assert got.dtype == ref.dtype and not got.flags.writeable
                     assert got.tobytes() == ref.tobytes()
-                assert type(row.label) is float and row.label == want.label
-                assert row.sq_norm() == want.sq_norm()
+                assert type(row.label) is float and row.label == label
+                assert row.sq_norm() == float(values @ values)
         for bad in (dict(indices=[3, 1], values=[1.0, 2.0]),
                     dict(indices=[-1], values=[1.0]),
                     dict(indices=[1], values=[0.0]),
                     dict(indices=[1, 2], values=[1.0])):
             with pytest.raises(ContractError):
-                SparseRow(**bad, label=1.0)
+                Dataset([0, len(bad["indices"])], **bad, y=[1.0], d=4)
 
 
 class TestGenerateSynthetic:
@@ -304,6 +306,11 @@ class TestGenerateSynthetic:
             SyntheticSpec(n=3, d=3, spread=0.5)
         with pytest.raises(ConfigError):
             SyntheticSpec(n=3, d=3, noise_rate=0.7)
+
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_seed_outside_0_to_2_to_64(self, seed):
+        with pytest.raises(ConfigError, match=rf"seed={seed} is not in"):
+            SyntheticSpec(n=3, d=3, seed=seed)
 
     @pytest.mark.parametrize("spread", [0.5, math.nan, math.inf])
     def test_spread_must_be_finite(self, spread):

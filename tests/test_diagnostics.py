@@ -10,7 +10,7 @@ from vropt.diagnostics import (
     geometric_gap_chisquare,
 )
 from vropt.errors import ConfigError
-from vropt.model import LogisticModel, SparseRow
+from vropt.model import LogisticModel
 from vropt.optim import eta_max_nonconvex
 from vropt.sampling import Rng
 
@@ -25,8 +25,7 @@ class TestGradientCheck:
         assert rep.passed
 
     def test_zero_feature_row_exact(self):
-        ds = Dataset(rows=(SparseRow(indices=np.array([], dtype=np.int64),
-                                     values=np.array([]), label=1.0),), d=3)
+        ds = Dataset([0, 0], [], [], [1.0], d=3)
         model = LogisticModel(ds, lam=0.25)
         x = np.array([0.5, -1.0, 2.0])
         assert np.array_equal(model.component_gradient(0, x), 0.25 * x)
@@ -93,9 +92,8 @@ class TestMseBounds:
 
 class TestSamplingOracles:
     def test_identical_rows_degenerate_symmetry(self):
-        row = SparseRow(indices=np.array([0, 1], dtype=np.int64),
-                        values=np.array([1.0, 2.0]), label=1.0)
-        ds = Dataset(rows=(row,) * 8, d=2)
+        ds = Dataset(np.arange(0, 17, 2), [0, 1] * 8, [1.0, 2.0] * 8, [1.0] * 8,
+                     d=2)
         model = LogisticModel(ds, lam=0.0)
         rep = compare_sampling_oracles(model, np.array([0.3, -0.2]),
                                        np.zeros(2))

@@ -10,7 +10,6 @@ from vropt.model import (
     IfoCounter,
     LogisticModel,
     NonconvexLogisticModel,
-    SparseRow,
 )
 from vropt.sampling import Rng
 
@@ -18,25 +17,23 @@ from vropt.sampling import Rng
 def single_row_dataset(values, label=1.0, d=None, lam_d=None):
     vals = np.asarray(values, dtype=np.float64)
     idx = np.flatnonzero(vals)
-    row = SparseRow(indices=idx.astype(np.int64), values=vals[idx], label=label)
-    return Dataset(rows=(row,), d=d or len(vals))
+    return Dataset([0, idx.size], idx, vals[idx], [label], d=d or len(vals))
 
 
 class TestSparseRow:
+    """The contract of one row, which Dataset checks for all rows at once."""
+
     def test_rejects_unsorted(self):
         with pytest.raises(ContractError):
-            SparseRow(indices=np.array([3, 1]), values=np.array([1.0, 2.0]),
-                      label=1.0)
+            Dataset([0, 2], [3, 1], [1.0, 2.0], [1.0], d=4)
 
     def test_rejects_zero_values(self):
         with pytest.raises(ContractError):
-            SparseRow(indices=np.array([0, 1]), values=np.array([1.0, 0.0]),
-                      label=1.0)
+            Dataset([0, 2], [0, 1], [1.0, 0.0], [1.0], d=2)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractError):
-            SparseRow(indices=np.array([0]), values=np.array([np.inf]),
-                      label=1.0)
+            Dataset([0, 1], [0], [np.inf], [1.0], d=1)
 
 
 class TestComponentGradient:
@@ -47,8 +44,7 @@ class TestComponentGradient:
         assert g[0] == pytest.approx(-1.0, abs=0)
 
     def test_zero_feature_row_gives_lam_x(self):
-        ds = Dataset(rows=(SparseRow(indices=np.array([], dtype=np.int64),
-                                     values=np.array([]), label=1.0),), d=4)
+        ds = Dataset([0, 0], [], [], [1.0], d=4)
         model = LogisticModel(ds, lam=0.5)
         x = np.array([1.0, -2.0, 0.25, 3.0])
         assert np.array_equal(model.component_gradient(0, x), 0.5 * x)
@@ -57,8 +53,8 @@ class TestComponentGradient:
         # an a9a-style binary row (14 active features) at lam = 0.0005
         idx = np.array([4, 6, 13, 18, 38, 39, 50, 62, 66, 72, 73, 75, 77, 82],
                        dtype=np.int64)
-        row = SparseRow(indices=idx, values=np.ones(14), label=-1.0)
-        model = LogisticModel(Dataset(rows=(row,), d=123), lam=0.0005)
+        model = LogisticModel(Dataset([0, 14], idx, np.ones(14), [-1.0], d=123),
+                              lam=0.0005)
         x = np.zeros(123)
         g = model.component_gradient(0, x)
         for j in list(idx[:4]) + [0]:
@@ -118,9 +114,7 @@ class TestFullGradient:
                               model.component_gradient(0, x))
 
     def test_equal_rows_match_component(self):
-        row = SparseRow(indices=np.array([0, 2], dtype=np.int64),
-                        values=np.array([1.0, -2.0]), label=1.0)
-        ds = Dataset(rows=(row, row, row), d=3)
+        ds = Dataset([0, 2, 4, 6], [0, 2] * 3, [1.0, -2.0] * 3, [1.0] * 3, d=3)
         model = LogisticModel(ds, lam=0.0)
         x = np.array([0.5, 0.0, -0.25])
         g_full = model.full_gradient(x)
@@ -200,11 +194,11 @@ class TestSmoothness:
             assert np.shares_memory(mine, theirs)
 
     def test_rows_and_text_give_bit_identical_oracles(self):
-        rows = (SparseRow(np.array([0, 3]), np.array([1.5, -2.0]), 1.0),
-                SparseRow(np.array([1]), np.array([0.25]), -1.0),
-                SparseRow(np.array([0, 1, 4]), np.array([3.0, 1e-3, -7.5]), 1.0))
+        arrays = Dataset([0, 2, 3, 6], [0, 3, 1, 0, 1, 4],
+                         [1.5, -2.0, 0.25, 3.0, 1e-3, -7.5], [1.0, -1.0, 1.0],
+                         d=5)
         text = "+1 1:1.5 4:-2.0\n-1 2:0.25\n+1 1:3.0 2:0.001 5:-7.5\n"
-        a = LogisticModel(Dataset(rows=rows, d=5), lam=0.01)
+        a = LogisticModel(arrays, lam=0.01)
         b = LogisticModel(parse_libsvm(text), lam=0.01)
         x = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
         assert np.array_equal(a.lipschitz, b.lipschitz)
@@ -216,7 +210,7 @@ class TestSmoothness:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
-            LogisticModel(Dataset(rows=(), d=3), lam=0.0)
+            LogisticModel(Dataset([0], [], [], [], d=3), lam=0.0)
 
     @pytest.mark.parametrize("model,param,value", [
         (LogisticModel, "lam", -1.0), (LogisticModel, "lam", math.nan),

@@ -5,7 +5,7 @@ import pytest
 
 from vropt.data import Dataset, SyntheticSpec, generate_synthetic
 from vropt.errors import ConfigError, DivergenceError
-from vropt.model import LogisticModel, SparseRow
+from vropt.model import LogisticModel
 from vropt.optim import (
     OptimizerConfig,
     c_eta,
@@ -34,9 +34,9 @@ def sc200():
 
 def single_row_model(values, lam):
     vals = np.asarray(values, dtype=np.float64)
-    idx = np.flatnonzero(vals).astype(np.int64)
-    row = SparseRow(indices=idx, values=vals[idx], label=1.0)
-    return LogisticModel(Dataset(rows=(row,), d=len(vals)), lam=lam)
+    idx = np.flatnonzero(vals)
+    return LogisticModel(Dataset([0, idx.size], idx, vals[idx], [1.0],
+                                 d=len(vals)), lam=lam)
 
 
 class TestConfigValidation:
@@ -65,6 +65,11 @@ class TestConfigValidation:
     def test_bad_eta(self):
         with pytest.raises(ConfigError):
             validate_config(OptimizerConfig("GD", eta=0.0, T=3))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_0_to_2_to_64(self, seed):
+        with pytest.raises(ConfigError, match=rf"seed={seed} is not in"):
+            validate_config(OptimizerConfig("GD", eta=0.1, T=3, seed=seed))
 
     @pytest.mark.parametrize("cadence", [math.nan, math.inf, -math.inf,
                                          0.0, -1.0])

@@ -61,6 +61,16 @@ class TestRng:
         with pytest.raises(ContractError, match="1 <= n <= 2"):
             Rng(0).below_block(n, 3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**20])
+    def test_seed_outside_0_to_2_to_64_refused(self, seed):
+        """Reduced modulo 2**64, such a seed would run another seed's
+        streams."""
+        with pytest.raises(ContractError, match=r"seed=.* \[0, 2\*\*64\)"):
+            Rng(seed)
+
+    def test_largest_seed_accepted(self):
+        assert Rng(2**64 - 1).seed == 2**64 - 1
+
 
 class TestUniformIndex:
     def test_n1_always_zero(self):
