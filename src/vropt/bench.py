@@ -60,8 +60,7 @@ class DatasetSpec:
                 f"the directory holding it"
             )
         try:
-            with open(path, "rb") as fh:
-                text = fh.read()
+            text = path.read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read dataset file {path}: "
                               f"{exc.strerror or exc}") from None
