@@ -350,7 +350,11 @@ class Segments:
 
 # decimals that a reader which does not round correctly gets wrong: ties
 # and near-ties at 2^53 and 1 + 2^-53, 17-digit mantissas, the edges of the
-# normal range and exact powers of ten at the fast path's bounds
+# normal range and exact powers of ten at the fast path's bounds; then, for
+# the 128-bit path, exact binary ties of 17-19 digits (to even, down and up;
+# divided, multiplied and plain), each with its neighbours one unit away in
+# the last digit, 19 digits over 10^22, a divisor wider than 64 bits, and
+# shortest reprs whose quotient by 10^22 has 54 bits, the fewest it can have
 HARD_DECIMALS = (
     "9007199254740993", "9007199254740995", "9007199254740992e22",
     "1.00000000000000011102230246251565404236316680908203125",
@@ -361,6 +365,14 @@ HARD_DECIMALS = (
     "8.98846567431158e307", "1.7976931348623157e308",
     "2.2250738585072011e-308", "2.2250738585072014e-308", "-0.0", "-0",
     "+1.5E+3", "4.35679e-10",
+    "4503599627370496.5", "4503599627370496.4", "4503599627370496.6",
+    "4503599627370497.5", "4503599627370497.4", "4503599627370497.6",
+    "2251799813685248.25", "2251799813685248.24", "2251799813685248.26",
+    "1125899906842624.125", "1125899906842624.124", "1125899906842624.126",
+    "18014398509481990", "18014398509481989", "18014398509481991",
+    "14411518807585592e1", "14411518807585591e1", "14411518807585593e1",
+    "0.0001234567890123456789", "-9999999999999999999e19",
+    "9.043579051838357e-07", "9.534213424542022e-07",
 )
 
 

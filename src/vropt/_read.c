@@ -12,14 +12,21 @@
        that read as finite doubles without ERANGE.
    A line of spaces only is blank and makes no row, as in the reference.
 
-   A number is read exactly when its decimal digits, taken as an integer m,
-   are at most 2^53 and its power of ten e is within [-22, 22]: then m and
-   10^|e| are doubles, and one correctly rounded multiplication or division
-   gives the correctly rounded value (Clinger's fast path).  Other numbers
-   go to strtod, which in glibc rounds correctly too, and the reader
-   declines unless strtod stopped exactly at the end of the token: a locale
-   whose decimal point is not '.' makes it stop early, so the reader never
-   reads a number differently from float(). */
+   A number is read exactly in one of two ways when its significant digits
+   (leading zeros do not count), taken as an integer m, are at most 19, so
+   that m < 10^19 < 2^64, and its power of ten e is within [-22, 22].  When
+   m <= 2^53, m and 10^|e| are doubles, and one correctly rounded
+   multiplication or division gives the correctly rounded value (Clinger's
+   fast path).  Otherwise, when e <= 19 and the compiler has a 128-bit
+   integer, m 10^e is the exact 128-bit product, or the quotient of m
+   shifted to the top of 128 bits by 10^-e with the remainder as a sticky
+   bit, and is rounded to 53 bits half to even (exact wide-integer
+   arithmetic, as in the Eisel-Lemire path, with a division in place of
+   its tables of powers of five).  Other numbers go to strtod, which in
+   glibc rounds correctly too, and the reader declines unless strtod
+   stopped exactly at the end of the token: a locale whose decimal point
+   is not '.' makes it stop early, so the reader never reads a number
+   differently from float(). */
 
 #include <errno.h>
 #include <math.h>
@@ -41,24 +48,79 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const u128 pow10_wide[23] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL,
+    10000000ULL, 100000000ULL, 1000000000ULL, 10000000000ULL,
+    100000000000ULL, 1000000000000ULL, 10000000000000ULL,
+    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL,
+    10000000000000000000ULL, (u128)10000000000000000000ULL * 10,
+    (u128)10000000000000000000ULL * 100,
+    (u128)10000000000000000000ULL * 1000};
+
+static int bit_length(u128 x)
+{
+    uint64_t hi = (uint64_t)(x >> 64), lo = (uint64_t)x;
+    return hi ? 128 - __builtin_clzll(hi) : lo ? 64 - __builtin_clzll(lo) : 0;
+}
+
+/* m 10^scale for 0 < m < 10^19 and scale in [-22, 19], correctly rounded:
+   the exact product, or the quotient of m shifted to the top of 128 bits
+   (at least 2^127 / 10^22 > 2^53, so 54 bits or more) with the remainder
+   as a sticky bit, rounded to 53 bits half to even. */
+static double exact_scaled(uint64_t m, int64_t scale)
+{
+    u128 x = m, q, rest, half;
+    int shift = 0, sticky = 0, cut;
+
+    if (scale >= 0) {
+        x *= pow10_wide[scale];
+    } else {
+        shift = 128 - bit_length(x);
+        x <<= shift;
+        q = x / pow10_wide[-scale];
+        sticky = q * pow10_wide[-scale] != x;   /* a remainder */
+        x = q;
+    }
+    cut = bit_length(x) - 53;
+    if (cut > 0) {
+        rest = x & (((u128)1 << cut) - 1);
+        half = (u128)1 << (cut - 1);
+        x >>= cut;
+        if (rest > half || (rest == half && (sticky || (x & 1))))
+            x++;                        /* 2^53 still converts exactly */
+        shift -= cut;
+    }
+    return ldexp((double)(uint64_t)x, -shift);
+}
+#endif
+
 /* The number that starts at p, in *value; returns its end, or NULL when
    the text there is no number of the grammar or does not read exactly. */
 static const char *number(const char *p, const char *end, double *value)
 {
     const char *start = p;
     uint64_t m = 0;
-    int64_t digits = 0, frac = 0, exp = 0, exp_digits = 0, scale;
+    /* sig: digits from the first nonzero one on; m is exact while <= 19 */
+    int64_t digits = 0, sig = 0, frac = 0, exp = 0, exp_digits = 0, scale;
     int negative = 0, exp_negative = 0;
 
     if (p < end && (*p == '+' || *p == '-'))
         negative = *p++ == '-';
-    for (; p < end && is_digit(*p); p++, digits++)
-        m = m * 10 + (uint64_t)(*p - '0');      /* used only if digits <= 19 */
+    for (; p < end && is_digit(*p); p++, digits++) {
+        m = m * 10 + (uint64_t)(*p - '0');
+        sig += m != 0;
+    }
     if (!digits)
         return NULL;
     if (p < end && *p == '.') {
-        for (p++; p < end && is_digit(*p); p++, frac++)
+        for (p++; p < end && is_digit(*p); p++, frac++) {
             m = m * 10 + (uint64_t)(*p - '0');
+            sig += m != 0;
+        }
         if (!frac)
             return NULL;
     }
@@ -73,13 +135,20 @@ static const char *number(const char *p, const char *end, double *value)
             return NULL;
     }
     scale = (exp_negative ? -exp : exp) - frac;
-    if (digits + frac <= 19 && exp_digits <= 4 && m <= EXACT_MANTISSA
+    if (sig <= 19 && exp_digits <= 4 && m <= EXACT_MANTISSA
         && scale >= -22 && scale <= 22) {
         double v = (double)m;
         v = scale < 0 ? v / pow10_exact[-scale] : v * pow10_exact[scale];
         *value = negative ? -v : v;
         return p;
     }
+#ifdef __SIZEOF_INT128__
+    if (sig <= 19 && exp_digits <= 4 && scale >= -22 && scale <= 19) {
+        double v = exact_scaled(m, scale);
+        *value = negative ? -v : v;
+        return p;
+    }
+#endif
     {
         /* strtod must see the token's end: past the block there may be no
            byte that stops it, so a token there is copied first */

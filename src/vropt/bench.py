@@ -263,6 +263,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> dict:
     """Run the optimizer grid and write one CSV per (label, seed), a summary
     (deterministic) and a metadata file (timing).  The dataset is loaded
     once, or once per worker process when ``workers > 1``."""
+    if workers < 1:
+        raise ConfigError(f"workers: needs at least 1, got {workers}")
     spec.validate()
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -379,6 +381,8 @@ def subsample_study(dataset, n_values=(10, 100, 1000), passes: int = 30,
         raise ConfigError(f"[study] n_values: each needs 1 <= n_sub <= "
                           f"{dataset.n} (the dataset's n), got "
                           + " ".join(map(str, n_values)))
+    if passes < 1:
+        raise ConfigError(f"[study] passes: needs at least 1, got {passes}")
     check_seed(seed)
     rows = []
     for n_sub in n_values:

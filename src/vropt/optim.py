@@ -188,13 +188,16 @@ class _Log:
     def __init__(self, row, dtype):
         self.buf, self.size = np.empty((64,) + row, dtype), 0
 
+    def reserve(self, rows):
+        """Room for ``rows`` rows in all, the rows held kept."""
+        grown = np.empty((rows,) + self.buf.shape[1:], self.buf.dtype)
+        grown[:self.size] = self.buf[:self.size]
+        self.buf = grown
+
     def free(self) -> int:
         """Rows free at the end, at least one (doubling when full)."""
         if self.size == len(self.buf):
-            grown = np.empty((2 * self.size,) + self.buf.shape[1:],
-                             self.buf.dtype)
-            grown[:self.size] = self.buf
-            self.buf = grown
+            self.reserve(2 * self.size)
         return len(self.buf) - self.size
 
     def append(self, row):
@@ -203,6 +206,9 @@ class _Log:
         self.size += 1
 
     def array(self) -> np.ndarray:
+        """The rows held: the buffer itself when they fill it."""
+        if self.size == len(self.buf):
+            return self.buf
         return self.buf[:self.size].copy()
 
 
@@ -546,6 +552,10 @@ def run(model, config: OptimizerConfig) -> RunResult:
     if u_cap > _INT64_MAX:
         raise ConfigError(f"the update horizon ({u_cap} updates, from T, S "
                           "and m) does not fit a signed 64-bit integer")
+    if (st.iterates is not None and u_cap >= 0 and config.max_ifo is None
+            and config.stop_grad_sq is None):
+        # a run that cannot stop early logs x_0 and one iterate per update
+        st.iterates.reserve(u_cap + 1)
 
     # restart/output rule: x_a with a drawn per outer loop or once (L2S);
     # one step back (L2S-SC); else the current iterate

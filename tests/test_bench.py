@@ -210,6 +210,12 @@ class TestSubsampleStudy:
             bench.subsample_study(tiny_dataset, n_values, out_path=str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("passes", [0, -3])
+    def test_passes_below_one_are_refused(self, tiny_dataset, passes):
+        with pytest.raises(ConfigError, match=rf"^\[study\] passes: needs "
+                           rf"at least 1, got {passes}$"):
+            bench.subsample_study(tiny_dataset, [10], passes=passes)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_0_to_2_to_64_is_refused(self, tiny_dataset, seed):
         with pytest.raises(ConfigError, match=rf"seed={seed} is not in"):
@@ -376,6 +382,18 @@ eta_over_L = 0.5
         assert cli_main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys,
+                                               workers):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\npasses = 2\nout = {tmp_path / 'out'}\n"
+                       "[dataset]\nsynthetic = true\nn = 20\nd = 3\n"
+                       "[optimizer.gd]\nalgorithm = GD\neta_over_L = 0.5\n")
+        assert cli_main(["run", str(cfg), "--workers", workers]) == 2
+        assert capsys.readouterr().err == (
+            f"error: workers: needs at least 1, got {workers}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_undecodable_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

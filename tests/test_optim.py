@@ -8,6 +8,7 @@ from vropt.errors import ConfigError, DivergenceError
 from vropt.model import LogisticModel
 from vropt.optim import (
     OptimizerConfig,
+    _Log,
     c_eta,
     eta_max_nonconvex,
     lambda_last_iterate,
@@ -479,6 +480,22 @@ class TestPlanner:
     def test_unknown_regime(self, sc_model):
         with pytest.raises(ConfigError):
             plan_step_size(sc_model, "SARAH", "magic", 5)
+
+
+def test_log_reserved_for_its_rows_is_handed_over():
+    """A log that its rows fill is returned without a copy; past its
+    reserved rows it doubles, and a partly filled log is copied."""
+    log = _Log((2,), np.float64)
+    log.append([0, 0])
+    log.reserve(100)
+    for k in range(1, 100):
+        log.append([k, -k])
+    assert len(log.buf) == 100 and log.array() is log.buf
+    log.append([100, -100])
+    assert len(log.buf) == 200
+    rows = log.array()
+    assert rows.tolist() == [[k, -k] for k in range(101)]
+    assert rows.base is None and not np.shares_memory(rows, log.buf)
 
 
 class TestRunInvariants:

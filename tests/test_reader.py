@@ -7,6 +7,8 @@ without the kernel; and the row norms equal the per-row ``vals @ vals``."""
 import json
 import locale
 import re
+import shutil
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -94,7 +96,8 @@ def test_rcv1_text_reads_bit_identically(request, seed):
     (b"1 1:0 2:-0.0 3:0e999\n", True),   # explicit zeros, dropped
     (b"1\n-1\n", True),                  # rows without features
     (b"1 1:1.5", True),                  # no final line break
-    (b"1 1:0.12345678901234567", True),  # ... and a number strtod reads
+    (b"1 1:0.12345678901234567", True),  # ... and a 17-digit number
+    (b"1 1:0.1234567890123456789012", True),  # ... and one strtod reads
     (b"1 1:1\r\n", False),
     (b"\r1 1:1\n", False),             # a lone \r is a line break there
     (b"1 1:1\n\r\n-1 2:1\n", False),
@@ -183,6 +186,58 @@ def test_hard_decimals_are_read():
         assert check_block(block) == (text != "2.2250738585072011e-308")
 
 
+def _decimal(digits: str, power: int, rng) -> str:
+    """digits 10^power written with the point after a random digit, an
+    exponent when that moves it, and a random sign."""
+    point = int(rng.integers(len(digits) + 1))
+    exp = power + len(digits) - point
+    text = digits[:point] or "0"
+    if point < len(digits):
+        text += "." + digits[point:]
+    return ("-" if rng.random() < 0.5 else "") + text + (f"e{exp}" if exp
+                                                          else "")
+
+
+def _ties(rng, count):
+    """Exact binary ties t 2^e (t odd, of 54 bits) of 17-19 significant
+    digits, each with its neighbours one unit away in the last digit, as
+    (digits, power of ten) pairs."""
+    out = []
+    while len(out) < count:
+        t = int(rng.integers(2**53, 2**54)) | 1
+        e = int(rng.integers(-3, 4))
+        if e >= 0:
+            digits, power = str(t << e), 0
+        else:
+            digits, power = str(t * 5**-e), e   # t 2^e = t 5^-e 10^e
+        stripped = digits.rstrip("0")
+        power += len(digits) - len(stripped)
+        if 17 <= len(stripped) <= 19:
+            m = int(stripped)
+            out += [(str(m + k), power) for k in (-1, 0, 1)]
+    return out
+
+
+@needs_kernel
+@pytest.mark.parametrize("seed", [0, 1])
+def test_many_decimals_read_as_float(seed):
+    """2.4 10^5 decimals, each read as float() reads it: shortest reprs of
+    random doubles from 1e-12 to 1e6, random mantissas of 1-19 digits with
+    a random point and exponent, and exact binary ties of 17-19 digits with
+    their neighbours."""
+    rng = np.random.default_rng(seed)
+    texts = [repr(v) for v in (10.0 ** rng.uniform(-12, 6, 100_000)).tolist()]
+    for length in rng.integers(1, 20, 100_000):
+        digits = "".join(map(str, rng.integers(0, 10, length)))
+        texts.append(_decimal(digits, int(rng.integers(-30, 31)), rng))
+    texts += [_decimal(d, p, rng) for d, p in _ties(rng, 40_000)]
+    got = _kernel.read_block("\n".join(texts).encode())
+    assert got is not None
+    want = np.array([float(t) for t in texts])
+    wrong = np.flatnonzero(got[0] != want)
+    assert not wrong.size, [texts[i] for i in wrong[:10]]
+
+
 @pytest.mark.parametrize("text", ["+1 1:17976931348623157e308\n",
                                   "+1 1:-17976931348623157e308\n",
                                   "17976931348623157e308 1:1\n"])
@@ -195,12 +250,8 @@ def test_overflow_is_a_parse_error_not_a_warning(no_kernel, text):
             parse_libsvm(text)
 
 
-@needs_kernel
-def test_comma_decimal_locale_falls_back(request):
-    """Under an LC_NUMERIC whose decimal point is ',', strtod stops at '.'
-    and the reader declines every number it would pass to strtod; the
-    exact ones it reads itself.  Needs such a locale installed."""
-    saved = locale.setlocale(locale.LC_NUMERIC)
+def _set_comma_locale() -> bool:
+    """Set an LC_NUMERIC whose decimal point is ',', if one is found."""
     for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
                  "nl_NL.UTF-8", "ru_RU.UTF-8"):
         try:
@@ -208,12 +259,32 @@ def test_comma_decimal_locale_falls_back(request):
         except locale.Error:
             continue
         if locale.localeconv()["decimal_point"] == ",":
-            break
-        locale.setlocale(locale.LC_NUMERIC, saved)
-    else:
-        pytest.skip("no locale with a ',' decimal point is installed")
+            return True
+    return False
+
+
+@needs_kernel
+def test_comma_decimal_locale_falls_back(request, tmp_path, monkeypatch):
+    """Under an LC_NUMERIC whose decimal point is ',', strtod stops at '.'
+    and the reader declines every number it would pass to strtod; the
+    exact ones, of up to 19 digits, it reads itself.  When no such locale
+    is installed, de_DE.UTF-8 is built with localedef into tmp_path and
+    found through LOCPATH."""
+    saved = locale.setlocale(locale.LC_NUMERIC)
     try:
-        assert _kernel.read_block(b"1 1:0.12345678901234567\n") is None
+        if not _set_comma_locale():
+            if shutil.which("localedef") is None:
+                pytest.skip("no ',' locale installed and no localedef")
+            proc = subprocess.run(["localedef", "-i", "de_DE", "-f", "UTF-8",
+                                   str(tmp_path / "de_DE.UTF-8")],
+                                  capture_output=True, text=True)
+            if proc.returncode and "No such file" in proc.stderr:
+                pytest.skip(f"localedef lacks its source: {proc.stderr}")
+            monkeypatch.setenv("LOCPATH", str(tmp_path))
+            assert _set_comma_locale(), proc.stderr
+        assert _kernel.read_block(b"1 1:0.1234567890123456789012\n") is None
+        # 64-bit compilers have the 128-bit integers of the exact path
+        assert check_block(b"1 1:0.12345678901234567\n") or sys.maxsize < 2**32
         assert check_block(b"1 1:0.5\n")
         text = rcv1gen.generate_text(3, rcv1gen.Rcv1Shape(n=50, d=200))
         compiled, numpy = both_readers(request, lambda: outcome(text))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vropt.errors import ConfigError, ContractError
 from vropt.sampling import (
@@ -177,6 +179,30 @@ class TestImportanceTable:
         freqs = counts / N
         sigma = np.sqrt(table.p * (1 - table.p) / N)
         assert np.all(np.abs(freqs - table.p) < 4 * sigma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["uniform", "lognormal", "one huge"]))
+    def test_alias_table_reproduces_the_mass(self, n, seed, kind):
+        """Bucket i draws i with probability min(accept_i, 1) / n and each
+        k != i with alias_k = i sends it (1 - accept_k) / n more: together
+        n p_i, up to rounding.  Each of the at most n - 1 folds into a
+        bucket rounds twice at magnitudes up to n, and summing the mass
+        here rounds once per fold again, so the bound is 2 n ulp(n)."""
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            weights = np.full(n, rng.uniform(0.1, 10.0))
+        elif kind == "lognormal":
+            weights = rng.lognormal(0.0, 3.0, size=n)
+        else:
+            weights = np.ones(n)
+            weights[rng.integers(n)] = 1e12
+        table = build_importance_table(weights)
+        accept, alias = table.alias_table()
+        mass = np.minimum(accept, 1.0)
+        others = alias != np.arange(n)
+        np.add.at(mass, alias[others], 1.0 - accept[others])
+        assert np.max(np.abs(mass - n * table.p)) <= 2 * n * np.spacing(n)
 
     def test_uniform_table_consumes_like_uniform_draws(self):
         # with exactly uniform p the accept coin is never needed, so the draw
