@@ -353,8 +353,10 @@ class Segments:
 # normal range and exact powers of ten at the fast path's bounds; then, for
 # the 128-bit path, exact binary ties of 17-19 digits (to even, down and up;
 # divided, multiplied and plain), each with its neighbours one unit away in
-# the last digit, 19 digits over 10^22, a divisor wider than 64 bits, and
-# shortest reprs whose quotient by 10^22 has 54 bits, the fewest it can have
+# the last digit, 19 digits over 10^22, a divisor wider than 64 bits,
+# shortest reprs whose quotient by 10^22 has 54 bits, the fewest it can have,
+# and 20-digit mantissas that wrap to 0 modulo 2^64 (plain, as 19 digits
+# times 10 and as 20 digits over 10^20)
 HARD_DECIMALS = (
     "9007199254740993", "9007199254740995", "9007199254740992e22",
     "1.00000000000000011102230246251565404236316680908203125",
@@ -373,6 +375,8 @@ HARD_DECIMALS = (
     "14411518807585592e1", "14411518807585591e1", "14411518807585593e1",
     "0.0001234567890123456789", "-9999999999999999999e19",
     "9.043579051838357e-07", "9.534213424542022e-07",
+    "18446744073709551616", "1.8446744073709551616e19",
+    "0.18446744073709551616",
 )
 
 

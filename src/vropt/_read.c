@@ -104,7 +104,8 @@ static const char *number(const char *p, const char *end, double *value)
 {
     const char *start = p;
     uint64_t m = 0;
-    /* sig: digits from the first nonzero one on; m is exact while <= 19 */
+    /* sig: digits from the first nonzero one on, counted apart from m,
+       which wraps (to 0, too) past 19 of them */
     int64_t digits = 0, sig = 0, frac = 0, exp = 0, exp_digits = 0, scale;
     int negative = 0, exp_negative = 0;
 
@@ -112,14 +113,14 @@ static const char *number(const char *p, const char *end, double *value)
         negative = *p++ == '-';
     for (; p < end && is_digit(*p); p++, digits++) {
         m = m * 10 + (uint64_t)(*p - '0');
-        sig += m != 0;
+        sig += sig || *p != '0';
     }
     if (!digits)
         return NULL;
     if (p < end && *p == '.') {
         for (p++; p < end && is_digit(*p); p++, frac++) {
             m = m * 10 + (uint64_t)(*p - '0');
-            sig += m != 0;
+            sig += sig || *p != '0';
         }
         if (!frac)
             return NULL;
@@ -170,6 +171,15 @@ static const char *number(const char *p, const char *end, double *value)
         *value = v;
         return p;
     }
+}
+
+int vr_read_wide(void)
+{
+#ifdef __SIZEOF_INT128__
+    return 1;
+#else
+    return 0;
+#endif
 }
 
 int vr_read_block(const char *p, int64_t size, vr_block *b)

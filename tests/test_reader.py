@@ -98,6 +98,8 @@ def test_rcv1_text_reads_bit_identically(request, seed):
     (b"1 1:1.5", True),                  # no final line break
     (b"1 1:0.12345678901234567", True),  # ... and a 17-digit number
     (b"1 1:0.1234567890123456789012", True),  # ... and one strtod reads
+    (b"1 1:18446744073709551616\n", True),  # 2^64: 0 in 64 bits
+    (b"1 1:0.18446744073709551616", True),
     (b"1 1:1\r\n", False),
     (b"\r1 1:1\n", False),             # a lone \r is a line break there
     (b"1 1:1\n\r\n-1 2:1\n", False),
@@ -222,14 +224,17 @@ def _ties(rng, count):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_many_decimals_read_as_float(seed):
     """2.4 10^5 decimals, each read as float() reads it: shortest reprs of
-    random doubles from 1e-12 to 1e6, random mantissas of 1-19 digits with
-    a random point and exponent, and exact binary ties of 17-19 digits with
-    their neighbours."""
+    random doubles from 1e-12 to 1e6, random mantissas of 1-21 digits with
+    a random point and exponent, mantissas of 20 and 21 digits whose low 64
+    bits are 0 (k 2^64 and 10 k 2^64, k = 1-5), and exact binary ties of
+    17-19 digits with their neighbours."""
     rng = np.random.default_rng(seed)
     texts = [repr(v) for v in (10.0 ** rng.uniform(-12, 6, 100_000)).tolist()]
-    for length in rng.integers(1, 20, 100_000):
+    for length in rng.integers(1, 22, 100_000):
         digits = "".join(map(str, rng.integers(0, 10, length)))
         texts.append(_decimal(digits, int(rng.integers(-30, 31)), rng))
+    texts += [_decimal(str(k << 64) + zero, int(rng.integers(-30, 31)), rng)
+              for k in range(1, 6) for zero in ("", "0") for _ in range(100)]
     texts += [_decimal(d, p, rng) for d, p in _ties(rng, 40_000)]
     got = _kernel.read_block("\n".join(texts).encode())
     assert got is not None
@@ -267,7 +272,8 @@ def _set_comma_locale() -> bool:
 def test_comma_decimal_locale_falls_back(request, tmp_path, monkeypatch):
     """Under an LC_NUMERIC whose decimal point is ',', strtod stops at '.'
     and the reader declines every number it would pass to strtod; the
-    exact ones, of up to 19 digits, it reads itself.  When no such locale
+    exact ones, of up to 19 digits, it reads itself (those above 2^53 only
+    with its 128-bit path).  When no such locale
     is installed, de_DE.UTF-8 is built with localedef into tmp_path and
     found through LOCPATH."""
     saved = locale.setlocale(locale.LC_NUMERIC)
@@ -283,8 +289,9 @@ def test_comma_decimal_locale_falls_back(request, tmp_path, monkeypatch):
             monkeypatch.setenv("LOCPATH", str(tmp_path))
             assert _set_comma_locale(), proc.stderr
         assert _kernel.read_block(b"1 1:0.1234567890123456789012\n") is None
-        # 64-bit compilers have the 128-bit integers of the exact path
-        assert check_block(b"1 1:0.12345678901234567\n") or sys.maxsize < 2**32
+        # read by the 128-bit exact path where the kernel has it
+        assert (check_block(b"1 1:0.12345678901234567\n")
+                == bool(_kernel.lib.vr_read_wide()))
         assert check_block(b"1 1:0.5\n")
         text = rcv1gen.generate_text(3, rcv1gen.Rcv1Shape(n=50, d=200))
         compiled, numpy = both_readers(request, lambda: outcome(text))
