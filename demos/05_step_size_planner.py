@@ -16,7 +16,7 @@ import math
 from vropt import plan_step_size
 from vropt.data import SyntheticSpec, generate_synthetic
 from vropt.model import LogisticModel
-from vropt.optim import (
+from vropt.planner import (
     eta_max_nonconvex,
     lambda_last_iterate,
     lambda_loopless_sc,

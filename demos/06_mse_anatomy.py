@@ -15,7 +15,7 @@ one inner loop anchored there.
 from vropt.data import SyntheticSpec, generate_synthetic
 from vropt.diagnostics import estimate_mse_bound
 from vropt.model import LogisticModel, NonconvexLogisticModel
-from vropt.optim import eta_max_nonconvex
+from vropt.planner import eta_max_nonconvex
 
 ds = generate_synthetic(SyntheticSpec(n=20, d=5, spread=2.0, noise_rate=0.1,
                                       seed=11))

@@ -27,7 +27,6 @@ from .planner import (
 from .sampling import (
     ImportanceTable,
     Rng,
-    build_importance_table,
     draw_snapshot_flag,
     draw_uniform_index,
     snapshot_event_probability,
@@ -43,7 +42,7 @@ __all__ = [
     "LogisticModel", "NonconvexLogisticModel", "NumericError",
     "OptimizerConfig", "ParseError", "PlannedStep", "Rng", "RunResult",
     "SyntheticSpec", "VroptError",
-    "build_importance_table", "c_eta", "draw_snapshot_flag",
+    "c_eta", "draw_snapshot_flag",
     "draw_uniform_index", "eta_max_nonconvex", "generate_synthetic",
     "lambda_last_iterate", "lambda_loopless_sc", "parse_libsvm",
     "plan_step_size", "run", "sigma_geometric", "snapshot_event_probability",

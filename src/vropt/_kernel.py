@@ -283,7 +283,7 @@ class Segments:
         from .model import kernel_view  # vropt.model imports this module
         labels, reg, reg_c = kernel_view(model)
         self.st, self.est, self.sched, self.n = st, est, sched, model.n
-        self.idx, self.snap = st.streams["index"], st.streams["snapshot"]
+        self.idx, self.snap = st.streams[:2]
         self.bern = bern
         self.a = model._A._compiled()  # made once per model, kept alive here
         self.s = s = ffi.new("vr_seg *")

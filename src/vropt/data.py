@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, ContractError, ParseError
-from .sampling import Rng, check_seed
+from .sampling import Rng, check_int, check_seed
 
 # substream ids for synthetic generation
 _STREAM_FEATURES = 10
@@ -115,13 +115,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, check in (("n", check_int), ("d", check_int),
+                            ("seed", check_seed)):  # kept as Python ints
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.n < 1 or self.d < 1:
             raise ConfigError("need n >= 1 and d >= 1")
         if not 1.0 <= self.spread < np.inf:
             raise ConfigError("spread must be >= 1 and finite")
         if not 0.0 <= self.noise_rate <= 0.5:
             raise ConfigError("noise_rate must be in [0, 0.5]")
-        check_seed(self.seed)
 
 
 # line breaks (as str.splitlines() counts them) to b"\n", the other

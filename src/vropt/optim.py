@@ -51,12 +51,14 @@ When ``engine`` selects it, ``_kernel.Segments`` takes the inner-step
 passes up to each event in C, bit-identical to this loop;
 ``RunResult.engine`` records which ran.
 
-The step-size planner lives in ``vropt.planner`` (re-exported here).
+The step-size planner lives in ``vropt.planner``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -65,12 +67,8 @@ import numpy as np
 from . import _kernel, sampling
 from .errors import ConfigError, DescentViolation, DivergenceError
 from .model import IfoCounter, kernel_view
-from .planner import (REGIMES, PlannedStep, c_eta,  # noqa: F401 (re-exported)
-                      eta_max_nonconvex, lambda_last_iterate,
-                      lambda_loopless_sc, plan_step_size, sigma_geometric,
-                      theta_strongly_convex)
 from .sampling import (
-    build_importance_table,
+    ImportanceTable,
     draw_snapshot_flag,
     draw_uniform_index,
     split_run_streams,
@@ -107,11 +105,13 @@ def validate_config(config: OptimizerConfig) -> None:
         raise ConfigError(f"unknown algorithm {algo!r}")
     for name in ("m", "T", "S", "max_ifo"):
         value = getattr(config, name)
-        if value is not None and abs(value) > _INT64_MAX:
+        if (value is not None or name == "m") and abs(
+                sampling.check_int(value, name)) > _INT64_MAX:
             raise ConfigError(f"{name}={value} does not fit a signed 64-bit "
                               "integer")
     sampling.check_seed(config.seed)
-    if not (config.eta > 0 and math.isfinite(config.eta)):
+    eta = config.eta
+    if not (isinstance(eta, numbers.Real) and eta > 0 and math.isfinite(eta)):
         raise ConfigError("eta must be positive and finite")
     if config.T is not None and config.S is not None:
         raise ConfigError("set exactly one of T and S")
@@ -516,16 +516,17 @@ def run(model, config: OptimizerConfig) -> RunResult:
     """Run ``config.algorithm`` on ``model``: the one optimizer loop (see
     the module docstring for the parts that set the algorithms apart)."""
     validate_config(config)
-    algo, n, m, T, S = config.algorithm, model.n, config.m, config.T, config.S
+    algo, n = config.algorithm, model.n
+    m, T, S = (v if v is None else operator.index(v)
+               for v in (config.m, config.T, config.S))
     outer = algo in _OUTER_LOOPS
     st = _Run(model, config, None if algo == "SGD"
               else model.L_bar if algo == "D2S" else model.L)
-    idx_rng, snap_rng, out_rng = (st.streams[k]
-                                  for k in ("index", "snapshot", "output"))
+    idx_rng, snap_rng, out_rng = st.streams
     indices = st.indices
 
     # estimator
-    table = build_importance_table(model.lipschitz) if algo == "D2S" else None
+    table = ImportanceTable(model.lipschitz) if algo == "D2S" else None
     weights = None if table is None else table.weights
     if inner_step(model, algo) == "sparse":
         est = _LazyRecursion(model, config.eta, st.counter, weights)

@@ -12,6 +12,8 @@ vectorized with numpy uint64 ops.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigError, ContractError
@@ -51,11 +53,21 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def check_seed(seed: int, field: str = "seed", error=ConfigError) -> None:
-    """Refuse a seed outside [0, 2**64), which Rng would otherwise reduce
-    onto the streams of another seed, as ``error`` naming ``field``."""
+def check_int(value, field: str, error=ConfigError) -> int:
+    """``value`` as a Python int (numpy integers too), else ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{field} must be an integer, not {value!r}") from None
+
+
+def check_seed(seed, field: str = "seed", error=ConfigError) -> int:
+    """``seed`` as a Python int; a non-integer, or one outside [0, 2**64)
+    (which Rng would reduce onto another seed's streams), is ``error``."""
+    seed = check_int(seed, field, error)
     if not 0 <= seed <= _MASK:
         raise error(f"{field}={seed} is not in [0, 2**64)")
+    return seed
 
 
 class Rng:
@@ -69,11 +81,10 @@ class Rng:
     __slots__ = ("seed", "stream", "_start", "_gamma", "_ctr", "_bound_cache")
 
     def __init__(self, seed: int, stream: int = 0):
-        check_seed(seed, error=ContractError)
+        self.seed = seed = check_seed(seed, error=ContractError)
+        self.stream = stream = check_int(stream, "stream", ContractError)
         sbase = _mix64(seed)
         tweak = _mix64(((stream & _MASK) + _GOLDEN) & _MASK)
-        self.seed = seed
-        self.stream = stream
         self._start = _mix64(sbase ^ tweak)
         self._gamma = _mix_gamma((sbase + tweak) & _MASK)
         self._ctr = 0
@@ -144,17 +155,14 @@ class Rng:
         return out
 
 
-def split_run_streams(seed: int) -> dict:
-    """The per-run substream bundle every optimizer consumes.
+def split_run_streams(seed: int) -> tuple:
+    """The per-run (index, snapshot, output) substreams of every optimizer.
 
     Index draws, snapshot coin flips and the output draw live on separate
     streams so that e.g. changing m leaves the i_t sequence untouched.
     """
-    return {
-        "index": Rng(seed, STREAM_INDEX),
-        "snapshot": Rng(seed, STREAM_SNAPSHOT),
-        "output": Rng(seed, STREAM_OUTPUT),
-    }
+    return tuple(Rng(seed, stream) for stream in
+                 (STREAM_INDEX, STREAM_SNAPSHOT, STREAM_OUTPUT))
 
 
 def draw_uniform_index(rng: Rng, n: int) -> int:
@@ -190,8 +198,8 @@ def snapshot_event_probability(m: int, t: int, t1: int) -> float:
 
 
 class ImportanceTable:
-    """Static sampling distribution p_i proportional to the per-component
-    smoothness constants, with an alias table for O(1) draws.
+    """Static sampling distribution p_i = L_i / sum_j L_j over the
+    per-component smoothness constants, with an alias table for O(1) draws.
 
     ``weights[i]`` caches n * p_i, the importance-sampling denominator of the
     estimator increment.
@@ -205,10 +213,8 @@ class ImportanceTable:
             raise ConfigError("need a non-empty 1-D list of constants")
         if not np.all(li > 0):
             raise ConfigError("all per-component constants must be > 0")
-        p = li / li.sum()
-        n = p.size
-        self.p = p
-        self.weights = n * p
+        self.p = p = li / li.sum()
+        self.weights = p.size * p
         self._alias, self._accept = _build_alias(p)
 
     @property
@@ -228,11 +234,6 @@ class ImportanceTable:
         """(accept, alias): ``draw`` keeps a uniform k when accept[k] >= 1
         or a uniform coin falls below accept[k], else returns alias[k]."""
         return self._accept, self._alias
-
-    def draw_block(self, rng: Rng, size: int) -> np.ndarray:
-        return np.fromiter(
-            (self.draw(rng) for _ in range(size)), dtype=np.int64, count=size
-        )
 
 
 def _build_alias(p: np.ndarray):
@@ -257,8 +258,3 @@ def _build_alias(p: np.ndarray):
     for i in large:
         accept[i] = 1.0
     return alias, accept
-
-
-def build_importance_table(lipschitz) -> ImportanceTable:
-    """Static importance distribution p_i = L_i / sum_j L_j."""
-    return ImportanceTable(lipschitz)

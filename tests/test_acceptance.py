@@ -24,13 +24,12 @@ from vropt.diagnostics import (
     estimate_mse_bound,
 )
 from vropt.model import LogisticModel, NonconvexLogisticModel
-from vropt.optim import (
-    OptimizerConfig,
+from vropt.optim import OptimizerConfig, run
+from vropt.planner import (
     eta_max_nonconvex,
     lambda_last_iterate,
     lambda_loopless_sc,
     plan_step_size,
-    run,
     theta_strongly_convex,
 )
 from helpers import make_homogeneous_dataset

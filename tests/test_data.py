@@ -312,6 +312,21 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError, match=rf"seed={seed} is not in"):
             SyntheticSpec(n=3, d=3, seed=seed)
 
+    @pytest.mark.parametrize("field", ["n", "d", "seed"])
+    def test_counts_are_integers(self, field):
+        """A numpy integer reads as the equal Python int; a float or a
+        string is a ConfigError naming the field."""
+        kw = dict(n=20, d=3, seed=1)
+        spec = SyntheticSpec(**{**kw, field: np.int64(kw[field])})
+        assert type(getattr(spec, field)) is int
+        a = generate_synthetic(SyntheticSpec(**kw))
+        b = generate_synthetic(spec)
+        for name in ("indptr", "indices", "values", "y"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for bad in (float(kw[field]), str(kw[field])):
+            with pytest.raises(ConfigError, match=f"{field} must be an integ"):
+                SyntheticSpec(**{**kw, field: bad})
+
     @pytest.mark.parametrize("spread", [0.5, math.nan, math.inf])
     def test_spread_must_be_finite(self, spread):
         with pytest.raises(ConfigError, match="spread must be >= 1 and fin"):

@@ -11,7 +11,7 @@ from vropt.diagnostics import (
 )
 from vropt.errors import ConfigError
 from vropt.model import LogisticModel
-from vropt.optim import eta_max_nonconvex
+from vropt.planner import eta_max_nonconvex
 from vropt.sampling import Rng
 
 

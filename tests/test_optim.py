@@ -6,18 +6,15 @@ import pytest
 from vropt.data import Dataset, SyntheticSpec, generate_synthetic
 from vropt.errors import ConfigError, DivergenceError
 from vropt.model import LogisticModel
-from vropt.optim import (
-    OptimizerConfig,
-    _Log,
+from vropt.optim import OptimizerConfig, _Log, run, validate_config
+from vropt.planner import (
     c_eta,
     eta_max_nonconvex,
     lambda_last_iterate,
     lambda_loopless_sc,
     plan_step_size,
-    run,
     sigma_geometric,
     theta_strongly_convex,
-    validate_config,
 )
 from vropt.sampling import STREAM_OUTPUT, Rng, draw_uniform_index
 
@@ -400,9 +397,9 @@ class TestD2S:
         assert a.total_ifo == b.total_ifo
 
     def test_weighted_increment_conditionally_unbiased(self, sc_model):
-        from vropt.sampling import build_importance_table
+        from vropt.sampling import ImportanceTable
 
-        table = build_importance_table(sc_model.lipschitz)
+        table = ImportanceTable(sc_model.lipschitz)
         x = np.full(sc_model.d, 0.15)
         x_prev = np.full(sc_model.d, -0.05)
         acc = np.zeros(sc_model.d)

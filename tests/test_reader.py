@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vropt import _kernel
@@ -149,6 +149,54 @@ def test_mutation_corpus(request):
         request, lambda: [outcome(block) for block in corpus])
     for block, a, b in zip(corpus, compiled, numpy):
         assert same(a, b), block
+
+
+INDEX = r"[+-]?[0-9_]{1,25}"
+JUNK = st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                             exclude_characters=":"), min_size=1, max_size=8)
+
+
+def _index_or_none(token: str):
+    """int(token) - 1 when int() reads token as 1 <= k < 2**63, else None."""
+    try:
+        k = int(token)
+    except ValueError:
+        return None
+    return k - 1 if 1 <= k < 2 ** 63 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.from_regex(INDEX, fullmatch=True) | JUNK,
+                       min_size=1, max_size=4))
+@example(tokens=["+5", "0005", "1_000", str(2 ** 63 - 1)])
+@example(tokens=["1", str(2 ** 63)])
+@example(tokens=[str(2 ** 64 + 5)])  # 5 in 64 bits
+@example(tokens=["-3"])
+@example(tokens=["0"])
+@example(tokens=["5.0"])
+@example(tokens=["_5"])
+@example(tokens=["1__0"])
+def test_index_tokens_read_as_int(tokens):
+    """An index token, one feature per line, reads as int() reads it when
+    1 <= int(token) < 2**63; any other is a ParseError naming its line, in
+    _parse_block and in parse_libsvm with the kernel loaded and hidden."""
+    block = "".join(f"1 {token}:1\n" for token in tokens).encode()
+    keys = [_index_or_none(token) for token in tokens]
+    bad = keys.index(None) + 1 if None in keys else None
+    with pytest.MonkeyPatch.context() as mp:
+        for reader in ("reference", "loaded", "hidden"):
+            if reader == "hidden":
+                mp.setattr(_kernel, "lib", None)
+            try:
+                if reader == "reference":
+                    indices = _parse_block(block, 0)[2]
+                else:
+                    indices = parse_libsvm(block).indices
+            except ParseError as exc:
+                assert exc.line_no == bad, (reader, tokens)
+                continue
+            assert bad is None, (reader, tokens)
+            assert indices.tolist() == keys, (reader, tokens)
 
 
 NUMBER = r"[+-]?[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,3})?"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from vropt.errors import ConfigError, ContractError
 from vropt.sampling import (
     ImportanceTable,
     Rng,
-    build_importance_table,
     draw_snapshot_flag,
     draw_uniform_index,
     snapshot_event_probability,
@@ -21,6 +21,24 @@ class TestRng:
         a = [Rng(123, 4).next_u64() for _ in range(64)]
         b = [Rng(123, 4).next_u64() for _ in range(64)]
         assert a == b
+
+    def test_numpy_integers_seed_like_python_ints(self):
+        """A numpy seed or stream is read once as a Python int: the same
+        draws, no overflow warning, and a float or string refused."""
+        ref = Rng(5, 2)
+        expected = [ref.next_u64() for _ in range(8)] + [ref.below(7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed, stream in ((np.uint64(5), np.int64(2)),
+                                 (np.int64(5), np.uint8(2))):
+                rng = Rng(seed, stream)
+                assert type(rng.seed) is int and type(rng.stream) is int
+                assert [rng.next_u64() for _ in range(8)] + [rng.below(7)] \
+                    == expected
+        for seed, stream, field in ((1.5, 0, "seed"), ("5", 0, "seed"),
+                                    (5, 1.0, "stream")):
+            with pytest.raises(ContractError, match=f"{field} must be an int"):
+                Rng(seed, stream)
 
     def test_streams_differ(self):
         a = [Rng(123, 0).next_u64() for _ in range(8)]
@@ -148,33 +166,33 @@ class TestSnapshotEventProbability:
 
 class TestImportanceTable:
     def test_homogeneous(self):
-        table = build_importance_table([1.0, 1.0, 1.0, 1.0])
+        table = ImportanceTable([1.0, 1.0, 1.0, 1.0])
         assert np.allclose(table.p, 0.25, atol=1e-15)
         assert np.allclose(table.weights, 1.0, atol=1e-15)
 
     def test_two_weights(self):
-        table = build_importance_table([1.0, 3.0])
+        table = ImportanceTable([1.0, 3.0])
         assert table.p == pytest.approx([0.25, 0.75], abs=1e-15)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
-        table = build_importance_table(rng.uniform(0.1, 5.0, size=37))
+        table = ImportanceTable(rng.uniform(0.1, 5.0, size=37))
         assert abs(table.p.sum() - 1.0) <= 1e-12
         assert np.all(table.p > 0)
 
     def test_invalid_weights(self):
         with pytest.raises(ConfigError):
-            build_importance_table([1.0, 0.0])
+            ImportanceTable([1.0, 0.0])
         with pytest.raises(ConfigError):
-            build_importance_table([])
+            ImportanceTable([])
 
     def test_empirical_frequencies_match(self):
         # 1e6 draws against a lumpy distribution: per-bin 4 sigma
         weights = np.array([0.2, 1.0, 3.0, 0.5, 2.0, 9.0])
-        table = build_importance_table(weights)
+        table = ImportanceTable(weights)
         rng = Rng(2024, 0)
         N = 1_000_000
-        draws = table.draw_block(rng, N)
+        draws = np.array([table.draw(rng) for _ in range(N)])
         counts = np.bincount(draws, minlength=6)
         freqs = counts / N
         sigma = np.sqrt(table.p * (1 - table.p) / N)
@@ -197,7 +215,7 @@ class TestImportanceTable:
         else:
             weights = np.ones(n)
             weights[rng.integers(n)] = 1e12
-        table = build_importance_table(weights)
+        table = ImportanceTable(weights)
         accept, alias = table.alias_table()
         mass = np.minimum(accept, 1.0)
         others = alias != np.arange(n)
@@ -207,7 +225,7 @@ class TestImportanceTable:
     def test_uniform_table_consumes_like_uniform_draws(self):
         # with exactly uniform p the accept coin is never needed, so the draw
         # sequence coincides with plain uniform index sampling
-        table = build_importance_table(np.full(16, 2.25))
+        table = ImportanceTable(np.full(16, 2.25))
         r1, r2 = Rng(77, 0), Rng(77, 0)
         a = [table.draw(r1) for _ in range(500)]
         b = [draw_uniform_index(r2, 16) for _ in range(500)]

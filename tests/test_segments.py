@@ -24,7 +24,8 @@ from vropt.cli import main as cli_main
 from vropt.data import SyntheticSpec, generate_synthetic, write_libsvm
 from vropt.errors import ConfigError, DivergenceError
 from vropt.model import LogisticModel, NonconvexLogisticModel
-from vropt.optim import ALGORITHMS, OptimizerConfig, engine, inner_step, run
+from vropt.optim import (ALGORITHMS, OptimizerConfig, engine, inner_step, run,
+                         validate_config)
 from vropt.sampling import (STREAM_INDEX, STREAM_SNAPSHOT, ImportanceTable,
                             Rng)
 
@@ -217,6 +218,53 @@ def test_counts_beyond_int64_are_refused(models, kw, field):
     config = OptimizerConfig(eta=_eta(model, kw["algorithm"]), **kw)
     for m in (model, Proxy(model)):
         with pytest.raises(ConfigError, match=re.escape(field)):
+            run(m, config)
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "hidden"])
+@pytest.mark.parametrize("kw,field,value", [
+    (dict(algorithm="SARAH", m=4, S=2), "m", np.int64(4)),
+    (dict(algorithm="SGD", T=50), "T", np.int64(50)),
+    (dict(algorithm="L2S", m=4, T=50), "T", np.int32(50)),
+    (dict(algorithm="SVRG", m=4, S=2), "S", np.uint8(2)),
+    (dict(algorithm="SARAH", m=4, S=3, max_ifo=90), "max_ifo", np.int64(90)),
+    (dict(algorithm="L2S", m=4, T=50, seed=3), "seed", np.int64(3)),
+    (dict(algorithm="D2S", m=4, S=2, seed=3), "seed", np.uint64(3)),
+    (dict(algorithm="SARAH", m=4, S=2), "m", 2.5),
+    (dict(algorithm="SARAH", m=4, S=2), "m", np.float64(4.0)),
+    (dict(algorithm="SARAH", m=4, S=2), "m", None),
+    (dict(algorithm="SGD", T=10), "T", 10.5),
+    (dict(algorithm="L2S", m=4, T=10), "T", 10.5),
+    (dict(algorithm="L2S", m=4, T=10), "T", "10"),
+    (dict(algorithm="SVRG", m=4, S=2), "S", 2.5),
+    (dict(algorithm="SARAH", m=4, S=2, max_ifo=30), "max_ifo", 30.5),
+    (dict(algorithm="SARAH", m=4, S=2), "seed", 1.5),
+    (dict(algorithm="SARAH", m=4, S=2), "seed", "3"),
+    (dict(algorithm="SARAH", m=4, S=2), "eta", "0.1"),
+    (dict(algorithm="SARAH", m=4, S=2), "eta", None)])
+def test_counts_are_integers(request, kernel, kw, field, value):
+    """A numpy integer runs as the equal Python int, every RunResult field
+    bit-identical; a float, string or None count (or a non-number eta) is a
+    ConfigError naming the field, on both engines and before any draw.
+    Without the kernel a fractional m or T never ended the loop."""
+    model = LogisticModel(generate_synthetic(SyntheticSpec(n=20, d=3,
+                                                           seed=1)), lam=0.1)
+    if kernel == "hidden":
+        request.getfixturevalue("no_kernel")
+    kw = {"eta": _eta(model, kw["algorithm"]), **kw}
+    config = OptimizerConfig(**{**kw, field: value})
+    if isinstance(value, np.integer):
+        python_int = run(model, OptimizerConfig(**kw))
+        numpy_int = run(model, config)
+        assert_same_run(python_int, numpy_int)
+        assert python_int.engine == numpy_int.engine
+        return
+    message = ("eta must be positive and finite" if field == "eta"
+               else f"{field} must be an integer")
+    for m in (model, Proxy(model)):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(config)
+        with pytest.raises(ConfigError, match=re.escape(message)):
             run(m, config)
 
 

@@ -1,0 +1,131 @@
+"""Digests of the outputs that a refactor must leave bit-identical.
+
+    python3 tools/digests.py                          # the kernel as loaded
+    PYTHONPATH=tools/no_kernel python3 tools/digests.py   # cffi hidden
+
+Prints sorted ``name sha256[:16]`` lines, one per output, for the tree the
+script sits in:
+
+- every RunResult field but the config (the input), or the type, message
+  and iteration of the DivergenceError raised, for every algorithm on four
+  models (dense with lam 1e-3 and 0, nonconvex, and the rcv1-shaped canary
+  of perfbench's sarah-sparse, whose recursive estimators step lazily),
+  under each variant of ``tests/test_segments.py::_variants`` that holds no
+  callable, at seeds 0 and 7;
+- ``parse_libsvm``'s arrays for the canary's text at seeds 0, 1 and 2;
+- each CSV and ``summary.json`` that ``vropt run demos/config/race.ini``
+  writes (``metadata.json`` holds timings and is left out).
+
+Run it in two trees (``git archive`` one into a temporary directory) and
+diff the outputs: an empty diff means the two commits computed the same
+bits.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+for path in (ROOT / "src", ROOT / "perfbench", ROOT / "tests"):
+    sys.path.insert(0, str(path))
+
+import numpy as np  # noqa: E402
+
+import rcv1gen  # noqa: E402
+from test_segments import _variants  # noqa: E402
+from vropt import optim  # noqa: E402
+from vropt.cli import main as cli_main  # noqa: E402
+from vropt.data import (SyntheticSpec, generate_synthetic,  # noqa: E402
+                        parse_libsvm)
+from vropt.errors import DivergenceError  # noqa: E402
+from vropt.model import LogisticModel, NonconvexLogisticModel  # noqa: E402
+
+CANARY = rcv1gen.Rcv1Shape(n=1000, d=2000)
+
+
+def _bytes(value) -> bytes:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return b"[" + b",".join(_bytes(v) for v in value) + b"]"
+    if isinstance(value, optim.Trace):
+        return _bytes(dataclasses.astuple(value))
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return repr(value).encode()
+
+
+def _line(name: str, value) -> str:
+    data = value if isinstance(value, bytes) else _bytes(value)
+    return f"{name} {hashlib.sha256(data).hexdigest()[:16]}"
+
+
+def _models():
+    dense = SyntheticSpec(n=120, d=16, spread=1.5, noise_rate=0.1, seed=5)
+    text = rcv1gen.generate_text(0, CANARY)
+    return {
+        "dense": LogisticModel(generate_synthetic(dense), lam=1e-3),
+        "dense-lam0": LogisticModel(generate_synthetic(dense), lam=0.0),
+        "nonconvex": NonconvexLogisticModel(generate_synthetic(dense),
+                                            alpha=0.5),
+        "rcv1-canary": LogisticModel(parse_libsvm(text, d=CANARY.d),
+                                     lam=1e-4),
+    }
+
+
+def run_lines():
+    for name, model in _models().items():
+        for algo in optim.ALGORITHMS:
+            eta = 0.5 / (model.L_bar if algo == "D2S" else model.L)
+            variants = [kw for kw in _variants(algo, model.n, model.d)
+                        if not any(callable(v) for v in kw.values())]
+            for k, kw in enumerate(variants):
+                for seed in (0, 7):
+                    tag = f"run/{name}/{algo}/v{k:02d}/seed{seed}"
+                    config = optim.OptimizerConfig(algo, eta=eta, seed=seed,
+                                                   **kw)
+                    try:
+                        result = optim.run(model, config)
+                    except DivergenceError as exc:
+                        yield _line(f"{tag}/error", (type(exc).__name__,
+                                                     str(exc), exc.iteration))
+                        continue
+                    for f in dataclasses.fields(result):
+                        if f.name != "config":
+                            yield _line(f"{tag}/{f.name}",
+                                        getattr(result, f.name))
+
+
+def parse_lines():
+    for seed in (0, 1, 2):
+        ds = parse_libsvm(rcv1gen.generate_text(seed, CANARY), d=CANARY.d)
+        for name in ("indptr", "indices", "values", "y", "d"):
+            yield _line(f"parse/seed{seed}/{name}", getattr(ds, name))
+
+
+def race_lines():
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["run", str(ROOT / "demos/config/race.ini"),
+                             "--out", out])
+        yield _line("race/exit", code)
+        for path in sorted(Path(out).rglob("*")):
+            if path.suffix == ".csv" or path.name == "summary.json":
+                yield _line(f"race/{path.relative_to(out)}",
+                            path.read_bytes())
+
+
+def main() -> int:
+    lines = [*run_lines(), *parse_lines(), *race_lines()]
+    print("\n".join(sorted(lines)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
