@@ -356,7 +356,13 @@ class Segments:
 # the last digit, 19 digits over 10^22, a divisor wider than 64 bits,
 # shortest reprs whose quotient by 10^22 has 54 bits, the fewest it can have,
 # and 20-digit mantissas that wrap to 0 modulo 2^64 (plain, as 19 digits
-# times 10 and as 20 digits over 10^20)
+# times 10 and as 20 digits over 10^20); then two ties of 19 digits that the
+# Eisel-Lemire step declines, one in each of its branches: at a negative
+# power its truncated product falls just short of the tie, so the bits under
+# the rounding bit are all ones (the wider-product check), and at a positive
+# power the product is exact, so they are all zeros (the half-way check);
+# last, a 2 behind 63 leading zeros, whose token is longer than strtod's copy
+# of a block's last token can hold, so that the reader must read it itself
 HARD_DECIMALS = (
     "9007199254740993", "9007199254740995", "9007199254740992e22",
     "1.00000000000000011102230246251565404236316680908203125",
@@ -377,7 +383,37 @@ HARD_DECIMALS = (
     "9.043579051838357e-07", "9.534213424542022e-07",
     "18446744073709551616", "1.8446744073709551616e19",
     "0.18446744073709551616",
+    "1126037345796096.875", "1845124767333692416e1",
+    "0" * 63 + "2",
 )
+
+
+def _near_ties():
+    """Two decimals m 10^q next to half-way points c 2^e between doubles
+    (c odd, of 54 bits) for each row q of _read.c's Eisel-Lemire table,
+    [-22, 19], with m just under a power of two: where c a = m M + 1 and
+    c a = m M - 1 are solvable with M = 1, exact ties that round down and
+    up to even; elsewhere m 10^q below and above c 2^e by a 1/M unit of m,
+    with (a, M) = (2^e', 5^q) for q >= 0 and (5^-q, 2^e') for q < 0.  A row
+    one unit too large in its last place reads one of them wrong."""
+    texts = []
+    for q in range(-22, 20):
+        for e in range(63, -1, -1) if q >= 0 else range(64):
+            a, M = (2 ** e, 5 ** q) if q >= 0 else (5 ** -q, 2 ** e)
+            top = min(63, (2 ** 54 * a // M).bit_length() - 1)
+            hi = 2 ** top * M // a  # c < hi: m < 2^top
+            if hi > 2 ** 53 + 4 * M:
+                break
+        for sign in (1, -1):
+            if M == 1:  # c = 1 (mod 4) rounds down to even, 3 up
+                c = hi - 1 - (hi - 3 + sign) % 4
+                m = c * a
+            else:
+                c = hi - 1 - (hi - 1 - sign * pow(a, -1, M)) % M
+                c -= M * (1 - c % 2)
+                m = (c * a - sign) // M
+            texts.append(f"{m}e{q}")
+    return texts
 
 
 # the signed zeros and where exp(-t) under- and overflows
@@ -466,7 +502,7 @@ def _self_test() -> bool:
                          ffi.from_buffer("double[]", b))
         if got != float(a @ b):
             return False
-    for text in HARD_DECIMALS:
+    for text in HARD_DECIMALS + tuple(_near_ties()):
         # as label and value, and as the last token of a block (which the
         # reader copies before strtod reads it)
         got = read_block(f"{text} 1:{text}\n{text}".encode())

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import ConfigError, ContractError, ParseError
-from .sampling import Rng, check_int, check_seed
+from .sampling import Rng, check_int, check_seed, is_real
 
 # substream ids for synthetic generation
 _STREAM_FEATURES = 10
@@ -120,9 +120,9 @@ class SyntheticSpec:
             object.__setattr__(self, name, check(getattr(self, name), name))
         if self.n < 1 or self.d < 1:
             raise ConfigError("need n >= 1 and d >= 1")
-        if not 1.0 <= self.spread < np.inf:
+        if not (is_real(self.spread) and 1.0 <= self.spread < np.inf):
             raise ConfigError("spread must be >= 1 and finite")
-        if not 0.0 <= self.noise_rate <= 0.5:
+        if not (is_real(self.noise_rate) and 0.0 <= self.noise_rate <= 0.5):
             raise ConfigError("noise_rate must be in [0, 0.5]")
 
 

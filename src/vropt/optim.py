@@ -57,7 +57,6 @@ The step-size planner lives in ``vropt.planner``.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -111,7 +110,7 @@ def validate_config(config: OptimizerConfig) -> None:
                               "integer")
     sampling.check_seed(config.seed)
     eta = config.eta
-    if not (isinstance(eta, numbers.Real) and eta > 0 and math.isfinite(eta)):
+    if not (sampling.is_real(eta) and eta > 0 and math.isfinite(eta)):
         raise ConfigError("eta must be positive and finite")
     if config.T is not None and config.S is not None:
         raise ConfigError("set exactly one of T and S")
@@ -134,8 +133,12 @@ def validate_config(config: OptimizerConfig) -> None:
     if config.max_ifo is not None and config.max_ifo < 0:
         raise ConfigError("max_ifo must be >= 0")
     cadence = config.record_every_pass
-    if cadence is not None and not (cadence > 0 and math.isfinite(cadence)):
+    if cadence is not None and not (sampling.is_real(cadence) and cadence > 0
+                                    and math.isfinite(cadence)):
         raise ConfigError("record_every_pass must be positive and finite")
+    target = config.stop_grad_sq
+    if target is not None and not sampling.is_real(target):
+        raise ConfigError(f"stop_grad_sq must be a real number, not {target!r}")
     if config.eta_schedule is not None and algo not in ("GD", "SGD"):
         raise ConfigError(f"{algo} takes no eta_schedule (GD and SGD do)")
     if not config.step_back and algo != "L2S-SC":

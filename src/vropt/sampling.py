@@ -12,6 +12,7 @@ vectorized with numpy uint64 ops.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -59,6 +60,11 @@ def check_int(value, field: str, error=ConfigError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{field} must be an integer, not {value!r}") from None
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (numpy floats too) and no bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_seed(seed, field: str = "seed", error=ConfigError) -> int:

@@ -327,6 +327,15 @@ class TestGenerateSynthetic:
             with pytest.raises(ConfigError, match=f"{field} must be an integ"):
                 SyntheticSpec(**{**kw, field: bad})
 
+    @pytest.mark.parametrize("field, bad", [
+        ("spread", "2"), ("spread", True),
+        ("noise_rate", "0.1"), ("noise_rate", False)])
+    def test_rates_are_numbers(self, field, bad):
+        """A string or bool spread or noise rate is a ConfigError naming
+        the field, not a TypeError from the range check."""
+        with pytest.raises(ConfigError, match=field):
+            SyntheticSpec(n=3, d=3, **{field: bad})
+
     @pytest.mark.parametrize("spread", [0.5, math.nan, math.inf])
     def test_spread_must_be_finite(self, spread):
         with pytest.raises(ConfigError, match="spread must be >= 1 and fin"):

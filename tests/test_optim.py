@@ -77,6 +77,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="record_every_pass"):
             run(sc_model, config)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("record_every_pass", "1"), ("record_every_pass", True),
+        ("stop_grad_sq", "0.1"), ("stop_grad_sq", False)])
+    def test_float_fields_are_numbers(self, sc_model, field, bad):
+        """A string or bool cadence or gradient target is a ConfigError
+        naming the field, raised before the run computes anything (a string
+        target used to fail at the first snapshot, after its full gradient
+        was counted)."""
+        config = OptimizerConfig("SVRG", eta=0.1, m=2, S=2, **{field: bad})
+        with pytest.raises(ConfigError, match=field):
+            validate_config(config)
+        with pytest.raises(ConfigError, match=field):
+            run(sc_model, config)
+
     @pytest.mark.parametrize("algo,extra", [
         ("SVRG", dict(m=2, S=1)), ("SARAH", dict(m=2, S=1)),
         ("SARAH-LI", dict(m=2, S=1)), ("D2S", dict(m=2, S=1)),

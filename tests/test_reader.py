@@ -4,8 +4,10 @@ for bit on every block it takes and declines every other, so
 ``parse_libsvm`` gives the same Dataset or the same ParseError with and
 without the kernel; and the row norms equal the per-row ``vals @ vals``."""
 
+import ctypes
 import json
 import locale
+import mmap
 import re
 import shutil
 import subprocess
@@ -289,6 +291,50 @@ def test_many_decimals_read_as_float(seed):
     want = np.array([float(t) for t in texts])
     wrong = np.flatnonzero(got[0] != want)
     assert not wrong.size, [texts[i] for i in wrong[:10]]
+
+
+def _last_tokens():
+    """Blocks whose last token is a label, an index or a value of 1-20
+    digits, with and without a fraction, and with a sign."""
+    digits = "12345678901234567890"
+    for n in range(1, 21):
+        run = digits[:n]
+        yield f"1 1:1\n{run}".encode()                 # a label
+        yield f"1 {run}".encode()                      # an index, no ':'
+        yield f"1 1:{run}".encode()
+        yield f"-1 1:-0.{run}".encode()
+        yield f"1 1:{run}.{run[::-1]}".encode()
+        yield f"1 1:{run[:n // 2 + 1]}.{run[n // 2 + 1:]}".encode()
+        yield f"1 1:{run}e-{n}".encode()
+
+
+@needs_kernel
+def test_reader_loads_nothing_past_the_block():
+    """Each block is copied to the end of a page whose next page is
+    PROT_NONE, so that a load past the block's last byte (the reader loads
+    eight bytes at a time) ends the process.  Every block is read as the
+    reference reads it, or declined; the pages are this test's own
+    anonymous mapping."""
+    page = mmap.PAGESIZE
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    buf = mmap.mmap(-1, 2 * page)
+    view = memoryview(buf)
+    try:
+        addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        # PROT_NONE, which the mmap module does not name, is 0
+        assert libc.mprotect(addr + page, page, 0) == 0, ctypes.get_errno()
+        taken = 0
+        for block in _last_tokens():
+            buf[page - len(block):page] = block
+            got = _kernel.read_block(view[page - len(block):page])
+            if got is not None:
+                assert same(got, reference(block)), block
+                taken += 1
+        assert taken
+    finally:
+        view.release()
+        buf.close()
 
 
 @pytest.mark.parametrize("text", ["+1 1:17976931348623157e308\n",

@@ -12,7 +12,8 @@ script sits in:
   of perfbench's sarah-sparse, whose recursive estimators step lazily),
   under each variant of ``tests/test_segments.py::_variants`` that holds no
   callable, at seeds 0 and 7;
-- ``parse_libsvm``'s arrays for the canary's text at seeds 0, 1 and 2;
+- ``parse_libsvm``'s arrays for the canary's text at seeds 0, 1 and 2,
+  and for the full-shape text that sarah-sparse parses at seeds 0 and 1;
 - each CSV and ``summary.json`` that ``vropt run demos/config/race.ini``
   writes (``metadata.json`` holds timings and is left out).
 
@@ -103,10 +104,12 @@ def run_lines():
 
 
 def parse_lines():
-    for seed in (0, 1, 2):
-        ds = parse_libsvm(rcv1gen.generate_text(seed, CANARY), d=CANARY.d)
-        for name in ("indptr", "indices", "values", "y", "d"):
-            yield _line(f"parse/seed{seed}/{name}", getattr(ds, name))
+    full = rcv1gen.Rcv1Shape()
+    for tag, shape, seeds in (("", CANARY, (0, 1, 2)), ("full/", full, (0, 1))):
+        for seed in seeds:
+            ds = parse_libsvm(rcv1gen.generate_text(seed, shape), d=shape.d)
+            for name in ("indptr", "indices", "values", "y", "d"):
+                yield _line(f"parse/{tag}seed{seed}/{name}", getattr(ds, name))
 
 
 def race_lines():
