@@ -361,8 +361,9 @@ class Segments:
 # power its truncated product falls just short of the tie, so the bits under
 # the rounding bit are all ones (the wider-product check), and at a positive
 # power the product is exact, so they are all zeros (the half-way check);
-# last, a 2 behind 63 leading zeros, whose token is longer than strtod's copy
-# of a block's last token can hold, so that the reader must read it itself
+# last, a 2 behind 63 leading zeros: a reader that counted them as
+# significant would pass it to strtod, whose copy of a block's last token
+# holds 63 characters, and decline the block
 HARD_DECIMALS = (
     "9007199254740993", "9007199254740995", "9007199254740992e22",
     "1.00000000000000011102230246251565404236316680908203125",
@@ -389,17 +390,18 @@ HARD_DECIMALS = (
 
 
 def _near_ties():
-    """Two decimals m 10^q next to half-way points c 2^e between doubles
-    (c odd, of 54 bits) for each row q of _read.c's Eisel-Lemire table,
-    [-22, 19], with m just under a power of two: where c a = m M + 1 and
-    c a = m M - 1 are solvable with M = 1, exact ties that round down and
-    up to even; elsewhere m 10^q below and above c 2^e by a 1/M unit of m,
-    with (a, M) = (2^e', 5^q) for q >= 0 and (5^-q, 2^e') for q < 0.  A row
-    one unit too large in its last place reads one of them wrong."""
+    """Two decimals m 10^q of 17-19 digits next to half-way points between
+    doubles for each row q of _read.c's Eisel-Lemire table, [-22, 19].  A
+    half-way point is c 2^e with c odd, of 54 bits; m 10^q lies a 1/M unit
+    of m below or above it, where m M = c a -+ 1 with (a, M) = (2^k, 5^q)
+    for q >= 0 and (5^-q, 2^k) for q < 0, or, where M = 1, at it: exact
+    ties, one that rounds down to even and one up.  m is just under a power
+    of two, where the truncation of a row costs the most.  A row one unit
+    too large in its last place reads one of them wrong."""
     texts = []
     for q in range(-22, 20):
-        for e in range(63, -1, -1) if q >= 0 else range(64):
-            a, M = (2 ** e, 5 ** q) if q >= 0 else (5 ** -q, 2 ** e)
+        for k in range(63, -1, -1) if q >= 0 else range(64):
+            a, M = (2 ** k, 5 ** q) if q >= 0 else (5 ** -q, 2 ** k)
             top = min(63, (2 ** 54 * a // M).bit_length() - 1)
             hi = 2 ** top * M // a  # c < hi: m < 2^top
             if hi > 2 ** 53 + 4 * M:

@@ -68,7 +68,7 @@ static const char *digit_run(const char *p, const char *end, uint64_t *m,
             p++;
     for (; end - p >= 8; p += 8, *sig += 8) {
         memcpy(&w, p, 8);
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
         w = __builtin_bswap64(w);       /* the first digit in the low byte */
 #endif
         if (((w + 0x46 * ones) | (w - 0x30 * ones)) & 0x80 * ones)
