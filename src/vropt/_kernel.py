@@ -32,6 +32,7 @@ every bit-identity claim of the compiled paths rests on these.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import importlib.util
@@ -156,25 +157,95 @@ def _numpy_ddot():
     raise LookupError("numpy exposes no cblas ddot")
 
 
-def read_block(block: bytes):
+# a str's UTF-8 form, which for an ASCII str is its own data
+_utf8 = ctypes.pythonapi.PyUnicode_AsUTF8AndSize
+_utf8.argtypes = (ctypes.py_object, ctypes.POINTER(ctypes.c_ssize_t))
+_utf8.restype = ctypes.c_void_p
+
+
+@contextlib.contextmanager
+def chars(text):
+    """The bytes of ``text`` in place, as the ``char *`` that ``Reader``
+    reads: a bytes-like object's own buffer, held until the ``with`` block
+    ends, or an ASCII str's one byte per character, which CPython keeps as
+    the str's UTF-8 form (``PyUnicode_AsUTF8AndSize`` returns it without a
+    copy; the caller keeps the str alive).  None when no kernel is loaded
+    or the str has a non-ASCII character, whose UTF-8 form would be a
+    copy of the whole text."""
+    if isinstance(text, str):
+        in_place = lib is not None and text.isascii()
+        yield ffi.cast("const char *", _utf8(text, None)) if in_place else None
+    elif lib is None:
+        yield None
+    else:
+        with ffi.from_buffer(text) as view:
+            yield view
+
+
+class Reader:
+    """The kernel's LIBSVM reader on one text of ``size`` bytes at
+    ``chars``, with arrays for the labels, nonzeros per row, 0-based indices
+    and values of all its rows, sized once by one count of its '\n' and ':'
+    bytes (``vr_size_block``) and filled from the front, block after block:
+    by the reader in place (``read``) or with arrays read elsewhere
+    (``put``)."""
+
+    def __init__(self, chars, size: int):
+        room = ffi.new("vr_block *")
+        lib.vr_size_block(chars, size, room)
+        self.chars, self.rows, self.nnz = chars, 0, 0
+        self.arrays = (np.empty(room.max_rows), np.empty(room.max_rows, np.int64),
+                       np.empty(room.max_nnz, np.int64), np.empty(room.max_nnz))
+        self._views = [ffi.from_buffer(kind, a) for kind, a in zip(
+            ("double[]", "int64_t[]", "int64_t[]", "double[]"), self.arrays)]
+
+    def read(self, lo: int, hi: int):
+        """Read the whole lines text[lo:hi] into the arrays after what is
+        there; their line breaks, or None (and nothing filled) where the
+        reader declines them or the arrays have no room left for them."""
+        labels, _, indices, _ = self.arrays
+        at = (self.rows, self.rows, self.nnz, self.nnz)
+        b = ffi.new("vr_block *", [
+            labels.size - self.rows, indices.size - self.nnz,
+            *(view + k for view, k in zip(self._views, at))])
+        if not lib.vr_read_block(self.chars + lo, hi - lo, b):
+            return None
+        self.rows += b.rows
+        self.nnz += b.nnz
+        return b.breaks
+
+    def put(self, part) -> bool:
+        """Copy one block's (labels, nonzeros per row, indices, values) into
+        the arrays after what is there, if they fit; whether they did."""
+        rows, nnz = part[0].size, part[2].size
+        if (self.rows + rows > self.arrays[0].size
+                or self.nnz + nnz > self.arrays[2].size):
+            return False
+        at = (self.rows, self.rows, self.nnz, self.nnz)
+        for array, k, new in zip(self.arrays, at, part):
+            array[k:k + new.size] = new
+        self.rows += rows
+        self.nnz += nnz
+        return True
+
+    def filled(self):
+        """The filled part of the arrays, as views."""
+        labels, counts, indices, values = self.arrays
+        return (labels[:self.rows], counts[:self.rows], indices[:self.nnz],
+                values[:self.nnz])
+
+
+def read_block(block):
     """``vropt.data._parse_block(block, 0)``'s tuple (labels, nonzeros per
-    row, 0-based indices, values, line breaks) as the kernel reads it, or
-    None when no kernel is loaded or the block is outside its grammar."""
+    row, 0-based indices, values, line breaks) as the kernel reads the
+    bytes-like ``block``, or None when no kernel is loaded or the block is
+    outside its grammar."""
     if lib is None:
         return None
-    chars = np.frombuffer(block, np.uint8)  # counted faster than by bytes
-    rows = np.count_nonzero(chars == 10) + 1
-    nnz = np.count_nonzero(chars == 58)
-    labels, counts = np.empty(rows), np.empty(rows, np.int64)
-    indices, values = np.empty(nnz, np.int64), np.empty(nnz)
-    arrays = [ffi.from_buffer(kind, a) for kind, a in (
-        ("double[]", labels), ("int64_t[]", counts),
-        ("int64_t[]", indices), ("double[]", values))]
-    b = ffi.new("vr_block *", [rows, nnz, *arrays])
-    if not lib.vr_read_block(ffi.from_buffer(block), len(block), b):
-        return None
-    return (labels[:b.rows], counts[:b.rows], indices[:b.nnz],
-            values[:b.nnz], b.breaks)
+    with ffi.from_buffer(block) as view:
+        reader = Reader(view, len(view))
+        breaks = reader.read(0, len(view))
+    return None if breaks is None else (*reader.filled(), breaks)
 
 
 def _bounds_ok(indptr, size) -> bool:

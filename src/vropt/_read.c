@@ -1,5 +1,5 @@
-/* Set-up kernels of vropt.data and vropt.model: a LIBSVM block reader and
-   the rows' squared norms.
+/* Set-up kernels of vropt.data and vropt.model: a LIBSVM block reader, the
+   count that sizes its output arrays, and the rows' squared norms.
 
    vr_read_block reads a strict subset of the text vropt.data._parse_block
    reads, and declines (returns 0) on anything else, leaving the block to
@@ -266,6 +266,37 @@ int vr_read_wide(void)
 #else
     return 0;
 #endif
+}
+
+/* The room b needs for text[0:size]: one row per '\n' and one more (for a
+   last line without one) and one nonzero per ':'.  Both are counted in one
+   pass of 16-byte chunks into 16 one-byte lanes, flushed every 255 chunks
+   before a lane can wrap; gcc vectorises that loop at -O2.  The last few
+   bytes go one by one, so nothing at or past text + size is read. */
+void vr_size_block(const char *text, int64_t size, vr_block *b)
+{
+    const unsigned char *p = (const unsigned char *)text;
+    int64_t newlines = 0, colons = 0, chunks = size / 16;
+
+    while (chunks) {
+        int64_t run = chunks < 255 ? chunks : 255;
+        uint8_t nl[16] = {0}, co[16] = {0};
+        for (chunks -= run; run; run--, p += 16)
+            for (int k = 0; k < 16; k++) {
+                nl[k] += p[k] == '\n';
+                co[k] += p[k] == ':';
+            }
+        for (int k = 0; k < 16; k++) {
+            newlines += nl[k];
+            colons += co[k];
+        }
+    }
+    for (; p < (const unsigned char *)text + size; p++) {
+        newlines += *p == '\n';
+        colons += *p == ':';
+    }
+    b->max_rows = newlines + 1;
+    b->max_nnz = colons;
 }
 
 int vr_read_block(const char *p, int64_t size, vr_block *b)

@@ -65,6 +65,7 @@ typedef struct {
     int64_t rows, nnz, breaks;          /* filled in when the block is read */
 } vr_block;
 
+void vr_size_block(const char *text, int64_t size, vr_block *b);
 int vr_read_block(const char *text, int64_t size, vr_block *b);
 /* 1 when the reader has its 128-bit exact path (a compiler with __int128) */
 int vr_read_wide(void);

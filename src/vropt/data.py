@@ -17,6 +17,8 @@ fixtures and synthetic data.
 
 from __future__ import annotations
 
+import contextlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,16 +234,73 @@ def _parse_block(text: bytes, lines_before: int):
             k[keep] - 1, v[keep], int(np.count_nonzero(breaks)))
 
 
+@contextlib.contextmanager
+def _text(source):
+    """The text of ``source``: a str as it is, or a bytes-like object's own
+    bytes as a flat memoryview, released when the ``with`` block ends; a
+    file object is read first."""
+    if not isinstance(source, str):
+        try:
+            memoryview(source).release()
+        except TypeError:  # no buffer: a file object
+            source = source.read()
+    if isinstance(source, str):
+        yield source
+    else:
+        with memoryview(source) as view, view.cast("B") as text:
+            yield text
+
+
+def _blocks(text):
+    """The ranges [lo, hi) of text's blocks: whole lines, about _BLOCK
+    characters each."""
+    find = re.compile("\n" if isinstance(text, str) else b"\n").search
+    lo = 0
+    while lo < len(text):
+        found = find(text, lo + _BLOCK)
+        hi = found.end() if found else len(text)
+        yield lo, hi
+        lo = hi
+
+
+def _read(text):
+    """(labels, nonzeros per row, 0-based indices, values) of the whole
+    text, a str or a flat memoryview of bytes (see parse_libsvm)."""
+    parts, lines = [], 0
+    with _kernel.chars(text) as chars:
+        reader = None if chars is None else _kernel.Reader(chars, len(text))
+        for lo, hi in _blocks(text):
+            breaks = None if reader is None else reader.read(lo, hi)
+            if breaks is None:  # declined, or no in-place reader: as bytes
+                block = text[lo:hi]
+                block = (block.encode("ascii", "replace")
+                         if isinstance(block, str) else block.tobytes())
+                *part, breaks = ((reader is None and _kernel.read_block(block))
+                                 or _parse_block(block, lines))
+                if reader is not None and not reader.put(part):
+                    # numpy's line breaks made more rows than the '\n's
+                    parts, reader = [reader.filled()], None
+                if reader is None:
+                    parts.append(part)
+            lines += breaks
+    if reader is not None:
+        return reader.filled()
+    return [np.concatenate(arrays)
+            for arrays in zip(*parts or [[np.empty(0)] * 4])]
+
+
 def parse_libsvm(source, d: int | None = None, name: str = "unnamed") -> Dataset:
     """Parse LIBSVM text ("label idx:val ...", 1-based indices).
 
-    ``source`` is a str, ASCII bytes or a file object.  Labels may follow
-    any one of the conventions {-1,+1}, {0,1} or {1,2}; they are normalized
-    to -1/+1 (0 -> -1, and for {1,2} files 2 -> -1).  Explicit zero values
-    are dropped (they carry no information and sparse rows store nonzeros
-    only).  The dimension is max(declared d, largest index + 1).  Malformed
-    input raises ParseError naming the first offending line.  Numbers follow
-    float()'s and int()'s rules, and contain no non-ASCII character.
+    ``source`` is a str, ASCII bytes or any other bytes-like object
+    (``bytearray``, ``memoryview``, ``mmap``, ...), or a file object.  Labels
+    may follow any one of the conventions {-1,+1}, {0,1} or {1,2}; they are
+    normalized to -1/+1 (0 -> -1, and for {1,2} files 2 -> -1).  Explicit
+    zero values are dropped (they carry no information and sparse rows store
+    nonzeros only).  The dimension is max(declared d, largest index + 1).
+    Malformed input raises ParseError naming the first offending line.
+    Numbers follow float()'s and int()'s rules, and contain no non-ASCII
+    character.
 
     The text is read in blocks of whole lines, about _BLOCK characters
     each.  The compiled kernel reads a block when the block keeps to a
@@ -250,20 +309,19 @@ def parse_libsvm(source, d: int | None = None, name: str = "unnamed") -> Dataset
     other block, and every block when no kernel is loaded, is tokenised and
     converted in bulk by numpy (``_parse_block``), which is also what names
     the errors.  Both give the same arrays, bit for bit.
+
+    With the kernel loaded, a bytes-like object's bytes and an ASCII str's
+    characters are read in place, without a copy: the kernel counts the
+    text's '\n' and ':' once, the output arrays are allocated once for that
+    many rows and nonzeros, and each block is read straight into them (a
+    block that numpy reads is copied in).  Where numpy's line breaks (it
+    also breaks lines at '\r' and the like) make more rows than that
+    room, the rest of the text is read block by block and the blocks'
+    arrays are concatenated, as is every text when no kernel is loaded.  A
+    str with a non-ASCII character is encoded block by block.
     """
-    text = source if isinstance(source, (str, bytes)) else source.read()
-    newline = "\n" if isinstance(text, str) else b"\n"
-    parts, lines, lo = [], 0, 0
-    while lo < len(text):
-        hi = text.find(newline, lo + _BLOCK) + 1 or len(text)
-        block = text[lo:hi]
-        if isinstance(block, str):
-            block = block.encode("ascii", "replace")
-        *part, breaks = _kernel.read_block(block) or _parse_block(block, lines)
-        parts.append(part)
-        lines, lo = lines + breaks, hi
-    labels, counts, indices, values = (
-        np.concatenate(arrays) for arrays in zip(*parts or [[np.empty(0)] * 4]))
+    with _text(source) as text:
+        labels, counts, indices, values = _read(text)
     if not labels.size:
         raise ParseError("no data lines found")
     seen = set(np.unique(labels).tolist())

@@ -29,6 +29,10 @@ iterate) or a snapshot gradient has squared norm <= ``stop_grad_sq``
 
 IFO accounting is exact: a component gradient costs 1, a snapshot costs n,
 and the initial anchor gradient costs n.  Objective evaluations are free.
+SARAH, SARAH-LI and D2S take m recursive steps after each snapshot's step,
+so every outer loop computes an x_{m+1} that no restart (a in {0..m}) can
+select.  That step costs 2 IFO, which is why an outer loop costs n + 2m
+and criterion 6 asserts S(n + 2m) in total.
 
 Every run is bit-reproducible from (config, seed): index draws, snapshot
 coin flips and output draws consume three separate substreams, so changing

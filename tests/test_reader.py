@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vropt import _kernel
+from vropt import _kernel, data
 from vropt.data import Dataset, _parse_block, parse_libsvm
 from vropt.errors import ParseError
 from vropt.model import LogisticModel, NonconvexLogisticModel
@@ -406,6 +406,94 @@ def test_self_test_refuses_a_reader_off_by_one_ulp(monkeypatch):
         return got
     monkeypatch.setattr(_kernel, "read_block", off)
     assert not _kernel._self_test()
+
+
+# -- whole texts ---------------------------------------------------------
+
+LONG = rcv1gen.Rcv1Shape(n=2000, d=2000)  # about 3.5 blocks of text
+
+
+@pytest.fixture(scope="module")
+def long_lines():
+    """The lines of a text of several blocks, and the index of the first
+    line that starts half a block into its second block."""
+    lines = rcv1gen.generate_text(4, LONG).splitlines(keepends=True)
+    starts = np.cumsum([0] + [len(line) for line in lines])
+    assert starts[-1] > 3 * data._BLOCK
+    return lines, int(np.searchsorted(starts, 1.5 * data._BLOCK))
+
+
+def _edited(lines, at, edit):
+    return "".join(lines[:at] + [edit(lines[at])] + lines[at + 1:])
+
+
+# a line edited so that its block leaves the kernel's grammar
+MIDDLE = {
+    "tab": lambda line: line.replace(" ", "\t", 1),
+    "crlf": lambda line: line[:-1] + "\r\n",
+    # two more rows than '\n's: more than the one row of room to spare
+    "lone cr": lambda line: "+1 1:1\r-1 2:0.5\r" + line,
+}
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("middle", MIDDLE)
+def test_declined_middle_block(request, long_lines, middle, final_newline):
+    """A text of several blocks whose middle one the kernel declines gives
+    the same Dataset from str and bytes, with the kernel and without it."""
+    lines, at = long_lines
+    text = _edited(lines, at, MIDDLE[middle])
+    if not final_newline:
+        text = text[:-1]
+    if middle == "lone cr":  # the rows overflow the room counted for them
+        assert text.count("\r") + text.count("\n") > text.count("\n") + 1
+    compiled, numpy = both_readers(
+        request, lambda: [outcome(text), outcome(text.encode())])
+    assert not isinstance(compiled[0][0], str), compiled[0]
+    for got in (*compiled, *numpy):
+        assert same(got, compiled[0])
+
+
+@pytest.mark.parametrize("middle", [None, *MIDDLE])
+@pytest.mark.parametrize("bad", ["abc", "\u00e9"])
+def test_bad_token_in_a_later_block(request, long_lines, middle, bad):
+    """A bad value in the last block, behind a clean or declined middle
+    block, is the same ParseError (message and line) with the kernel and
+    without it, from str and from bytes; a non-ASCII one sends a str block
+    by block through the encoder, which shows it as '?'."""
+    lines, at = long_lines
+    lines = lines[:-1] + [lines[-1].replace(":", ":" + bad, 1)]
+    text = "".join(lines)
+    if middle is not None:
+        text = _edited(lines, at, MIDDLE[middle])
+    compiled, numpy = both_readers(
+        request, lambda: [outcome(text), outcome(text.encode())])
+    assert same(compiled, numpy)
+    line = len(lines) + 2 * (middle == "lone cr")
+    assert [got[::2] for got in compiled] == [("ParseError", line)] * 2
+    assert (compiled[0][1] == compiled[1][1]) == text.isascii()
+
+
+@pytest.mark.parametrize("kernel", ["loaded", "hidden"])
+@pytest.mark.parametrize("kind", ["bytearray", "memoryview", "mmap"])
+def test_bytes_like_sources(request, tmp_path, kind, kernel):
+    """A bytes-like source gives the Dataset of the same text as bytes, and
+    is let go of afterwards: the mmap closes and the bytearray can grow."""
+    text = rcv1gen.generate_text(5, CANARY).encode()
+    if kernel == "hidden":
+        request.getfixturevalue("no_kernel")
+    want = outcome(text)
+    if kind == "mmap":
+        path = tmp_path / "text.libsvm"
+        path.write_bytes(text)
+        with path.open("rb") as fh, mmap.mmap(fh.fileno(), 0,
+                                              access=mmap.ACCESS_READ) as mm:
+            assert same(outcome(mm), want)
+        return
+    source = bytearray(text)
+    assert same(outcome(source if kind == "bytearray"
+                        else memoryview(source)), want)
+    source += b"-1 1:1\n"
 
 
 # -- row norms -----------------------------------------------------------

@@ -14,6 +14,12 @@ script sits in:
   callable, at seeds 0 and 7;
 - ``parse_libsvm``'s arrays for the canary's text at seeds 0, 1 and 2,
   and for the full-shape text that sarah-sparse parses at seeds 0 and 1;
+- ``parse_libsvm``'s arrays for a text of several blocks whose second
+  block has a CRLF line end and whose third has two rows ended by a lone
+  CR, which the compiled reader declines and numpy reads (the second as
+  one more block put in place, the third with more rows than the text's
+  '\n's, so that the rest goes block by block), parsed from str and from
+  bytes;
 - each CSV and ``summary.json`` that ``vropt run demos/config/race.ini``
   writes (``metadata.json`` holds timings and is left out).
 
@@ -42,12 +48,13 @@ import rcv1gen  # noqa: E402
 from test_segments import _variants  # noqa: E402
 from vropt import optim  # noqa: E402
 from vropt.cli import main as cli_main  # noqa: E402
-from vropt.data import (SyntheticSpec, generate_synthetic,  # noqa: E402
-                        parse_libsvm)
+from vropt.data import (_BLOCK, SyntheticSpec,  # noqa: E402
+                        generate_synthetic, parse_libsvm)
 from vropt.errors import DivergenceError  # noqa: E402
 from vropt.model import LogisticModel, NonconvexLogisticModel  # noqa: E402
 
 CANARY = rcv1gen.Rcv1Shape(n=1000, d=2000)
+LONG = rcv1gen.Rcv1Shape(n=2000, d=2000)  # about 3.5 blocks of text
 
 
 def _bytes(value) -> bytes:
@@ -103,13 +110,31 @@ def run_lines():
                                         getattr(result, f.name))
 
 
-def parse_lines():
-    full = rcv1gen.Rcv1Shape()
-    for tag, shape, seeds in (("", CANARY, (0, 1, 2)), ("full/", full, (0, 1))):
+def _declined_blocks() -> str:
+    lines = rcv1gen.generate_text(4, LONG).splitlines(keepends=True)
+    starts = np.cumsum([0] + [len(line) for line in lines])
+    crlf, lone_cr = np.searchsorted(starts, np.array([1.5, 2.5]) * _BLOCK)
+    lines[crlf] = lines[crlf][:-1] + "\r\n"
+    lines[lone_cr] = "+1 1:1\r-1 2:0.5\r" + lines[lone_cr]
+    return "".join(lines)
+
+
+def _texts():
+    """(tag, text, d) of each text whose parse is hashed."""
+    for tag, shape, seeds in (("", CANARY, (0, 1, 2)),
+                              ("full/", rcv1gen.Rcv1Shape(), (0, 1))):
         for seed in seeds:
-            ds = parse_libsvm(rcv1gen.generate_text(seed, shape), d=shape.d)
-            for name in ("indptr", "indices", "values", "y", "d"):
-                yield _line(f"parse/{tag}seed{seed}/{name}", getattr(ds, name))
+            yield f"{tag}seed{seed}", rcv1gen.generate_text(seed, shape), shape.d
+    declined = _declined_blocks()
+    yield "declined/str", declined, LONG.d
+    yield "declined/bytes", declined.encode(), LONG.d
+
+
+def parse_lines():
+    for tag, text, d in _texts():
+        ds = parse_libsvm(text, d=d)
+        for name in ("indptr", "indices", "values", "y", "d"):
+            yield _line(f"parse/{tag}/{name}", getattr(ds, name))
 
 
 def race_lines():

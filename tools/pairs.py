@@ -10,8 +10,10 @@ s`` runs once per side, one process at a time, the parent first for the
 first seed and the change first for the next, and so on.  For each
 end-to-end metric of ``BENCHMARK.json`` it prints each side's median and
 quartiles, the median of the per-pair ratios change / parent, the change's
-wins and the verdict of ``verdict``.  The temporary directories are
-removed; nothing is written in the checkout.
+wins and the verdict of ``verdict``; next to ``peak_rss_mb``, each side's
+median repetition count, since a run keeps every repetition's result and
+its peak grows with them.  The temporary directories are removed; nothing
+is written in the checkout.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def export(rev: str, into: Path) -> None:
 
 def run_once(side: Path, workload: str, seed: int, seconds: float | None,
              out: Path) -> dict:
-    """One ``perfbench/run.py`` process in ``side``: its last output line."""
+    """One ``perfbench/run.py`` process in ``side``: its last output line,
+    with the repetition count of its result file added."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--out", str(out)]
     if seconds is not None:
@@ -111,7 +114,9 @@ def run_once(side: Path, workload: str, seed: int, seconds: float | None,
     if proc.returncode not in (0, 1) or not proc.stdout.strip():
         raise SystemExit(f"error: {' '.join(cmd)} in {side} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    got["repetitions"] = json.loads(out.read_text())["repetitions"]
+    return got
 
 
 def main(argv=None) -> int:
@@ -135,7 +140,7 @@ def main(argv=None) -> int:
                                Path(tmp) / "result.json")
                 results[name].append(got)
                 print(f"seed {seed} {name}: failed {got['failed']} of "
-                      f"{got['attempted']}, "
+                      f"{got['attempted']}, repetitions {got['repetitions']}, "
                       + " ".join(f"{m}={v['value']:.6g}"
                                  for m, v in got["metrics"].items()),
                       file=sys.stderr)
@@ -146,6 +151,9 @@ def main(argv=None) -> int:
         print(f"  {side} failed: {[r['failed'] for r in runs]}")
     print(f"  {'metric':12s} {'parent q1/median/q3':>34s} "
           f"{'change q1/median/q3':>34s} {'ratio':>7s} {'wins':>5s}  verdict")
+    repetitions = "  (median repetitions: " + ", ".join(
+        f"{side} {statistics.median(r['repetitions'] for r in runs):g}"
+        for side, runs in results.items()) + ")"
     for m in metrics:
         name = m["name"]
         if not all(name in r["metrics"] for rs in results.values()
@@ -158,7 +166,8 @@ def main(argv=None) -> int:
         print(f"  {name:12s} {' / '.join(f'{v:.4g}' for v in qp):>34s} "
               f"{' / '.join(f'{v:.4g}' for v in qc):>34s} {ratio:7.3f} "
               f"{wins(par, chg, m['better']):2d}/{len(par):<2d}  "
-              f"{verdict(par, chg, m['better'], m['bound'])}")
+              f"{verdict(par, chg, m['better'], m['bound'])}"
+              + (repetitions if name == "peak_rss_mb" else ""))
     return 0
 
 
