@@ -339,23 +339,38 @@ def expit(t):
     return out
 
 
+def at_most(target) -> float:
+    """The largest double t <= ``target``, a real number (NaN for None): a
+    double v has v <= target exactly when v <= t, as the kernel compares."""
+    if target is None:
+        return math.nan
+    try:
+        t = float(target)
+    except OverflowError:  # an int or a fraction beyond the doubles
+        return sys.float_info.max if target > 0 else -math.inf
+    return math.nextafter(t, -math.inf) if t > target else t
+
+
 class Segments:
     """The kernel on a run's state (``vropt.optim``'s ``_Run``) and dense
     estimator (``_Dense``, whose ``code``, ``cur``, ``prev`` and ``v`` are
     ``vr_seg``'s), reading A through the model's ``CSRView``.  ``run`` takes
     the passes up to the next event (see _segment.h) in C, with the draws,
-    the IFO count, the divergence guard and the index and iterate logs,
-    and returns the loop position; the Python loop then takes the event's
-    pass.  The state is copied in per segment, as Python may hold on to the
-    estimator's arrays (x_a, also the next snapshot point, and the output)."""
+    the IFO count, the divergence guard and the run's logs (``_Log``s, which
+    it appends to in place), and returns the loop position; the Python loop
+    then takes the event's pass.  With ``snap_in`` (L2S's coin and SVRG's
+    period, whose snapshot point is the current iterate) the kernel takes
+    the snapshots too: the full gradient, its IFOs, the stop test at
+    ``stop_grad_sq`` and the step.  The state is copied in per segment, as
+    Python may hold on to the estimator's arrays (x_a, also the next
+    snapshot point, and the output)."""
 
     def __init__(self, model, st, est, table, sched, coin_m, period, u_cap,
-                 bern):
+                 bern, snap_in):
         from .model import kernel_view  # vropt.model imports this module
         labels, reg, reg_c = kernel_view(model)
         self.st, self.est, self.sched, self.n = st, est, sched, model.n
         self.idx, self.snap = st.streams[:2]
-        self.bern = bern
         self.a = model._A._compiled()  # made once per model, kept alive here
         self.s = s = ffi.new("vr_seg *")
         self.work = np.empty(2 * model.d + self.a.width)
@@ -375,7 +390,14 @@ class Segments:
             field_[0], field_[1] = rng._start, rng._gamma
         s.coin_m, s.period, s.u_cap = coin_m, period, u_cap
         s.ifo_cap = -1 if st.config.max_ifo is None else st.config.max_ifo
-        s.pass_k, s.diverge_sq, s.max_steps = -1, st.diverge_sq, -1
+        s.pass_k, s.diverge_sq = -1, st.diverge_sq
+        s.snap_in, s.stop_sq = snap_in, at_most(st.config.stop_grad_sq)
+        # each log the run keeps, with the kernel's (a view into s)
+        self.logs = [(log, getattr(s, name)) for log, name in (
+            (st.indices, "idx_log"), (st.iterates, "it_log"),
+            (bern, "coin_log"), (st.snapshot_iters, "snap_log"),
+            (st.snapshot_grads, "snap_v_log"),
+            (st.snapshot_points, "snap_x_log")) if log is not None]
 
     def run(self, updates, inner, a_at):
         st, est, s = self.st, self.est, self.s
@@ -394,28 +416,24 @@ class Segments:
         s.cur, s.prev, s.v = [ffi.NULL if a is None
                               else ffi.from_buffer("double[]", a)
                               for a in state]
-        logs = (st.indices, st.iterates)
         while True:
-            start = s.updates
-            if st.indices is not None:
-                s.max_steps = min(log.free() for log in logs)
-                s.idx_log = (ffi.from_buffer("int64_t[]", st.indices.buf)
-                             + st.indices.size)
-                s.it_log = (ffi.from_buffer("double[]", st.iterates.buf)
-                            + st.iterates.size * st.model.d)
+            views = []  # alive until the call returns
+            for log, kept in self.logs:
+                log.free()  # a full log doubles
+                views.append(ffi.from_buffer(log.buf))
+                kept.buf, kept.size, kept.cap = views[-1], log.size, len(log.buf)
             why = lib.vr_segment(s)
-            if st.indices is not None:
-                for log in logs:
-                    log.size += s.updates - start
+            for log, kept in self.logs:
+                log.size = kept.size
             if why != lib.VR_FULL:
                 break
         est.cur, est.prev, est.v = state
         st.counter.count = s.count
         self.idx._ctr, self.snap._ctr = s.idx_rng[2], s.snap_rng[2]
-        if self.bern is not None:
-            self.bern += bytes(s.updates - updates)
         if why == lib.VR_DIVERGED:
             raise DivergenceError("iterate norm exploded", s.updates)
+        if why == lib.VR_TARGET:
+            st.hit_target = st.stopped = True
         return s.updates, s.inner
 
 

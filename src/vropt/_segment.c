@@ -96,6 +96,17 @@ static double coef(const vr_seg *s, int64_t i, int64_t nnz,
     return -b * sig;
 }
 
+/* the regularizer's gradient at one coordinate x_j, as the model's
+   _reg_gradient computes it */
+static double reg_grad(const vr_seg *s, double x)
+{
+    double den;
+    if (s->reg == 0)
+        return s->reg_c * x;
+    den = 1.0 + x * x;
+    return s->reg_c * (2.0 * x) / (den * den);
+}
+
 /* g = grad f_i(x) */
 static void dense_grad(const vr_seg *s, int64_t i, const double *x,
                        double *g, double *xs)
@@ -107,17 +118,24 @@ static void dense_grad(const vr_seg *s, int64_t i, const double *x,
     for (k = 0; k < nnz; k++)
         xs[k] = x[idx[k]];
     double c = coef(s, i, nnz, val, xs);
-    if (s->reg == 0) {
-        for (j = 0; j < d; j++)
-            g[j] = s->reg_c * x[j];
-    } else {
-        for (j = 0; j < d; j++) {
-            double den = 1.0 + x[j] * x[j];
-            g[j] = s->reg_c * (2.0 * x[j]) / (den * den);
-        }
-    }
+    for (j = 0; j < d; j++)
+        g[j] = reg_grad(s, x[j]);
     for (k = 0; k < nnz; k++)
         g[idx[k]] += c * val[k];
+}
+
+/* g = grad F(x), as model._MarginModel.full_gradient: the data term of
+   _oracle.c plus the regularizer's, or for n = 1 the one component */
+static void full_grad(const vr_seg *s, const double *x, double *g)
+{
+    int64_t d = s->a->d, j;
+    if (s->n == 1) {
+        dense_grad(s, 0, x, g, s->work + 2 * d);
+        return;
+    }
+    vr_data_grad(s->a, s->labels, 1, x, s->work, g);
+    for (j = 0; j < d; j++)
+        g[j] += reg_grad(s, x[j]);
 }
 
 /* ---- optim._Dense steps: kind 0 plain, 1 anchored, 2 recursive ---- */
@@ -147,14 +165,84 @@ static void dense_step(vr_seg *s, int64_t i)
     }
 }
 
-/* ---- the loop of optim.run over inner-step passes ---- */
+/* ---- the logs and the snapshot pass ---- */
+
+static int full(const vr_log *l)
+{
+    return l->buf && l->size == l->cap;
+}
+
+static void put_index(vr_log *l, int64_t k)
+{
+    if (l->buf)
+        ((int64_t *)l->buf)[l->size++] = k;
+}
+
+static void put_coin(vr_log *l, uint8_t b)
+{
+    if (l->buf)
+        ((uint8_t *)l->buf)[l->size++] = b;
+}
+
+static void put_row(vr_log *l, int64_t d, const double *x)
+{
+    if (l->buf) {
+        double *row = (double *)l->buf + l->size++ * d;
+        for (int64_t j = 0; j < d; j++)
+            row[j] = x[j];
+    }
+}
+
+/* 0 when the kernel may take the due snapshot at cur, else the event that
+   hands it to Python: a snapshot elsewhere than cur, a full snapshot log,
+   or, where the snapshot steps (all but the anchored estimator), a trace
+   threshold or the IFO budget that its n IFOs reach */
+static int snapshot_event(const vr_seg *s)
+{
+    int64_t next = s->count + s->n;
+    if (!s->snap_in)
+        return VR_SNAPSHOT;
+    if (full(&s->snap_log) || full(&s->snap_v_log) || full(&s->snap_x_log))
+        return VR_FULL;
+    if (s->kind != 1 && s->rec_next >= 0 && next >= s->rec_next)
+        return VR_RECORD;
+    if (s->kind != 1 && s->ifo_cap >= 0 && next >= s->ifo_cap)
+        return VR_BUDGET;
+    return 0;
+}
+
+/* the snapshot at x = cur, as optim.run's: v = grad F(x) for n IFOs, the
+   logs, the stop test; then prev = x and, but for the anchored estimator,
+   cur = x - eta v.  1 when ||v||^2 met stop_sq (nothing moved) */
+static int snapshot(vr_seg *s)
+{
+    int64_t d = s->a->d, j;
+    double *x = s->cur, *v = s->v;
+    full_grad(s, x, v);
+    s->count += s->n;
+    put_index(&s->snap_log, s->updates);
+    put_row(&s->snap_v_log, d, v);
+    put_row(&s->snap_x_log, d, x);
+    if (vr_dot(d, v, v) <= s->stop_sq)
+        return 1;
+    s->inner = 0;
+    for (j = 0; j < d; j++) {
+        s->prev[j] = x[j];
+        if (s->kind != 1)
+            x[j] = x[j] - s->eta * v[j];
+    }
+    return 0;
+}
+
+/* ---- the loop of optim.run over passes ---- */
 
 int vr_segment(vr_seg *s)
 {
-    int64_t cost = s->kind == 0 ? 1 : 2, d = s->a->d, steps = 0, i, j;
+    int64_t cost = s->kind == 0 ? 1 : 2, d = s->a->d, i;
     for (;;) {
         int64_t next = s->count + cost;
         uint64_t sctr = s->snap_rng[2];
+        int due, why;
         double nx;
         if (s->updates == s->u_cap)
             return VR_HORIZON;
@@ -166,29 +254,32 @@ int vr_segment(vr_seg *s)
             return VR_KEEP;
         if (s->pass_k >= 0 && s->count / s->n != s->pass_k)
             return VR_ETA;
-        if (!s->coin_m && s->inner == s->period)
-            return VR_SNAPSHOT;
-        if (steps == s->max_steps)
+        if (full(&s->idx_log) || full(&s->it_log) || full(&s->coin_log))
             return VR_FULL;
-        if (s->coin_m && below(s->snap_rng, s->coin_m) == 0) {
-            s->snap_rng[2] = sctr;
-            return VR_SNAPSHOT;
+        due = s->coin_m ? below(s->snap_rng, s->coin_m) == 0
+                        : s->inner == s->period;
+        if (due && (why = snapshot_event(s))) {
+            s->snap_rng[2] = sctr;      /* Python draws the coin again */
+            return why;
         }
-        i = draw_index(s);
-        dense_step(s, i);
-        s->count = next;
-        s->inner++;
+        if (s->coin_m)
+            put_coin(&s->coin_log, (uint8_t)due);
+        if (due) {
+            if (snapshot(s))
+                return VR_TARGET;
+            if (s->kind == 1)
+                continue;               /* the anchor moved; x did not */
+        } else {
+            i = draw_index(s);
+            put_index(&s->idx_log, i);
+            dense_step(s, i);
+            s->count = next;
+            s->inner++;
+        }
         s->updates++;
         nx = vr_dot(d, s->cur, s->cur);
         if (!isfinite(nx) || nx > s->diverge_sq)
             return VR_DIVERGED;
-        if (s->idx_log)
-            s->idx_log[steps] = i;
-        if (s->it_log) {
-            double *row = s->it_log + steps * d;
-            for (j = 0; j < d; j++)
-                row[j] = s->cur[j];
-        }
-        steps++;
+        put_row(&s->it_log, d, s->cur);
     }
 }

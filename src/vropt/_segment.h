@@ -2,16 +2,22 @@
    set-up, _oracle.c: the model's full and bulk oracles), read both by the
    C compiler and by cffi (so: no preprocessor lines but integer defines). */
 
-/* why vr_segment stopped; every reason but VR_HORIZON, VR_FULL and
-   VR_DIVERGED leaves the next pass, undrawn, to the Python loop */
+/* why vr_segment stopped; every reason but VR_HORIZON, VR_FULL, VR_DIVERGED
+   and VR_TARGET leaves the next pass, undrawn, to the Python loop.  A
+   snapshot at the current iterate (snap_in: L2S's coin, SVRG's period) is
+   the kernel's own pass; the other snapshots (SARAH, SARAH-LI and D2S
+   restart at x_a, L2S-SC steps back and counts its snapshots) end the
+   segment with VR_SNAPSHOT */
 #define VR_HORIZON 0    /* updates reached u_cap */
 #define VR_RECORD 2     /* the next update reaches a trace threshold */
 #define VR_BUDGET 3     /* ... or the IFO budget */
 #define VR_KEEP 4       /* ... or is the restart point x_a */
 #define VR_ETA 5        /* the pass index count / n moved on (SGD step size) */
-#define VR_SNAPSHOT 6   /* the next pass is a snapshot */
-#define VR_FULL 7       /* the iterate or index log is full */
+#define VR_SNAPSHOT 6   /* the next pass is a snapshot Python takes */
+#define VR_FULL 7       /* a log is full */
 #define VR_DIVERGED 8   /* ||x_updates||^2 is not finite or above diverge_sq */
+#define VR_TARGET 9     /* a snapshot taken here met stop_sq: cur is its
+                           point, v its gradient */
 
 /* A's CSR rows, read by the model's products (_oracle.c) and segments */
 typedef struct {
@@ -19,6 +25,13 @@ typedef struct {
     const int64_t *indptr, *indices;
     const double *values;
 } vr_csr;
+
+/* an array the kernel appends entries to (int64_t, uint8_t or rows of d
+   doubles): size of cap used; buf NULL where the run keeps no such log */
+typedef struct {
+    void *buf;
+    int64_t size, cap;
+} vr_log;
 
 typedef struct {
     /* model: A, labels and regularizer (0: lam x, 1: the bounded
@@ -43,10 +56,14 @@ typedef struct {
     /* events; -1 (0 for coin_m) where the run has none */
     int64_t coin_m, period, u_cap, rec_next, ifo_cap, a_at, pass_k;
     double diverge_sq;
-    /* logs of the steps taken (NULL: not kept), max_steps entries free */
-    int64_t max_steps;
-    int64_t *idx_log;
-    double *it_log;
+    /* snapshots: 1 where they are taken here, at cur (see VR_TARGET for
+       stop_sq, NaN where the run has no target) */
+    int snap_in;
+    double stop_sq;
+    /* logs: the index of each step, the iterate of each update, the coin
+       of each pass (L2S family), and each snapshot's iteration, gradient
+       and point */
+    vr_log idx_log, it_log, coin_log, snap_log, snap_v_log, snap_x_log;
 } vr_seg;
 
 int vr_segment(vr_seg *s);

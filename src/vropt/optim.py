@@ -242,10 +242,12 @@ class _Run:
         if self.rec_step is not None and self.rec_step < 1:
             raise ConfigError("record cadence below one IFO call")
         self.next_thresh = self._last_t = 0
-        self._rows, self.snapshot_iters = [], []
-        self.snapshot_grads, self.snapshot_points = [], []
+        self._rows = []
+        # the logs both engines append to (None: not kept)
         rec = config.record_iterates
-        self.iterates = _Log((model.d,), np.float64) if rec else None
+        self.snapshot_iters = _Log((), np.int64)
+        self.snapshot_grads, self.snapshot_points, self.iterates = (
+            _Log((model.d,), np.float64) if rec else None for _ in range(3))
         self.indices = _Log((), np.int64) if rec else None
         self.stopped = self.hit_target = False
         self.f0 = model.objective(self.x0)
@@ -266,11 +268,15 @@ class _Run:
                                self.counter.count, f, float(g @ g)))
             self.next_thresh += self.rec_step
 
+    @property
+    def snaps(self) -> int:
+        return self.snapshot_iters.size
+
     def note_snapshot(self, t, v, x):
         self.snapshot_iters.append(t)
         if self.config.record_iterates:
-            self.snapshot_grads.append(v.copy())
-            self.snapshot_points.append(x.copy())
+            self.snapshot_grads.append(v)
+            self.snapshot_points.append(x)
         if (self.config.stop_grad_sq is not None
                 and float(v @ v) <= self.config.stop_grad_sq):
             self.hit_target = True
@@ -313,18 +319,19 @@ class _Run:
         cols = [[row[k] for row in self._rows] for k in range(4)]
         trace = Trace(np.array(cols[0]), np.array(cols[1], dtype=np.int64),
                       np.array(cols[2]), np.array(cols[3]))
+        rec = self.config.record_iterates
         return RunResult(
             config=self.config,
             x_out=x_out, f0=self.f0, f1=self.f1,
             total_ifo=self.counter.count,
             total_iterations=total_iterations,
-            snapshot_iters=np.array(self.snapshot_iters, dtype=np.int64),
+            snapshot_iters=self.snapshot_iters.array(),
             trace=trace,
-            bernoulli=bernoulli,
-            indices=None if self.indices is None else self.indices.array(),
-            iterates=None if self.iterates is None else self.iterates.array(),
-            snapshot_grads=self.snapshot_grads,
-            snapshot_points=self.snapshot_points,
+            bernoulli=None if bernoulli is None else bernoulli.array(),
+            indices=self.indices.array() if rec else None,
+            iterates=self.iterates.array() if rec else None,
+            snapshot_grads=list(self.snapshot_grads.array()) if rec else [],
+            snapshot_points=list(self.snapshot_points.array()) if rec else [],
             stopped_early=self.stopped,
             reached_grad_target=self.hit_target,
             inner_step=inner_step,
@@ -548,9 +555,9 @@ def run(model, config: OptimizerConfig) -> RunResult:
     first = algo != "SGD"
     coin = algo in ("L2S", "L2S-SC")
     period = 0 if algo == "GD" else m
-    bern = bytearray() if coin else None
+    bern = _Log((), np.uint8) if coin else None
 
-    # horizon: the loop ends once `updates` reaches u_cap or `snaps` s_cap
+    # horizon: the loop ends once `updates` reaches u_cap or `st.snaps` s_cap
     if algo == "L2S-SC":
         u_cap, s_cap = -1, S + 1
     elif outer:
@@ -579,20 +586,26 @@ def run(model, config: OptimizerConfig) -> RunResult:
     keep_restart = keep_out and outer
     back = algo == "L2S-SC" and config.step_back
 
+    # the kernel also takes the snapshots whose point is the current
+    # iterate: L2S's coin and SVRG's period (the others restart at x_a,
+    # step back or count their snapshots)
     seg = None if engine(model, algo) == "python" else _kernel.Segments(
         model, st, est, table, sched, m if coin else 0,
-        -1 if algo == "SGD" else period, u_cap, bern)
+        -1 if algo == "SGD" else period, u_cap, bern, algo in ("L2S", "SVRG"))
     keep = x_out = None
     a_at = -1                       # the update whose iterate is x_a
-    updates = snaps = inner = 0
-    while updates != u_cap and snaps != s_cap:
+    updates = inner = 0
+    while updates != u_cap and st.snaps != s_cap:
         if seg is not None:
             updates, inner = seg.run(updates, inner, a_at)
+            if st.hit_target:
+                x_out = est.materialise()  # the kernel's certified point
+                break
             if updates == u_cap:
                 break
         if sched is not None:
             est.eta = sched(st.counter.count // n)
-        if not snaps:
+        if not st.snaps:
             due = first
         elif coin:
             due = draw_snapshot_flag(snap_rng, m)
@@ -600,7 +613,7 @@ def run(model, config: OptimizerConfig) -> RunResult:
         else:
             due = inner == period
         if due:
-            if not snaps:
+            if not st.snaps:
                 x = st.x0
             elif keep_restart:
                 x = keep
@@ -610,11 +623,10 @@ def run(model, config: OptimizerConfig) -> RunResult:
                     st.iterates.buf[updates] = x  # the step back rewrites x_t
             v = model.full_gradient(x, st.counter)
             st.note_snapshot(updates, v, x)
-            snaps += 1
             if st.hit_target:
                 x_out = x  # the certified point
                 break
-            if draw_a is not None and (outer or snaps == 1):
+            if draw_a is not None and (outer or st.snaps == 1):
                 a_at, keep = updates + draw_a(), x  # a = 0: keep x itself
             est.snapshot(x, v)
             inner = 0
@@ -635,6 +647,5 @@ def run(model, config: OptimizerConfig) -> RunResult:
     if x_out is None:
         x_out = (keep if keep_out and not st.stopped
                  else est.materialise() if updates else st.x0)
-    return st.finish(x_out, updates,
-                     None if bern is None else np.array(bern, dtype=np.uint8),
-                     est.kind, "python" if seg is None else "compiled")
+    return st.finish(x_out, updates, bern, est.kind,
+                     "python" if seg is None else "compiled")

@@ -54,3 +54,45 @@ def test_quartiles_wins_and_seeds():
     assert pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
     with pytest.raises(ValueError):
         pairs.verdict([1.0], [1.0], "lower", 0.25)
+
+
+def test_schedule_alternates_within_each_workload():
+    """Both sides of a (workload, seed) pair run back to back, and each
+    workload's first side alternates over its seeds, for an odd and an
+    even number of workloads."""
+    for workloads in (["a", "b", "c"], ["a", "b"]):
+        runs = pairs.schedule(workloads, [1, 2, 3, 4])
+        assert len(runs) == 2 * 4 * len(workloads)
+        for (w1, s1, x), (w2, s2, y) in zip(runs[::2], runs[1::2]):
+            assert (w1, s1) == (w2, s2) and {x, y} == {"parent", "change"}
+        for w in workloads:
+            firsts = [side for w1, _, side in runs[::2] if w1 == w]
+            assert firsts in (["parent", "change"] * 2,
+                              ["change", "parent"] * 2)
+    assert [r[:2] for r in pairs.schedule(["a", "b"], [7])[::2]] == [
+        ("a", 7), ("b", 7)]
+
+
+def test_main_reports_each_listed_workload(monkeypatch, capsys):
+    """``--workload a,b`` runs both and prints one verdict table each,
+    from that workload's runs only."""
+    monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    seen = []
+
+    def run_once(side, workload, seed, seconds, out):
+        seen.append((workload, seed, side.name))
+        value = {"a": 1.0, "b": 4.0}[workload]
+        if side.name == "change":
+            value *= 0.5 if workload == "a" else 2.0
+        return {"failed": 0, "attempted": 1, "repetitions": 3,
+                "metrics": {"us_per_step": {"value": value + seed / 1e3}}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(["--parent", "P", "--workload", "a,b",
+                       "--seeds", "1-10"]) == 0
+    assert seen == pairs.schedule(["a", "b"], list(range(1, 11)))
+    out = capsys.readouterr().out
+    tables = out.split("b: 10 pairs")
+    assert len(tables) == 2 and tables[0].startswith("a: 10 pairs")
+    assert "gain" in tables[0] and "worse" not in tables[0]
+    assert "worse" in tables[1] and "gain" not in tables[1]

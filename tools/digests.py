@@ -12,6 +12,10 @@ script sits in:
   of perfbench's sarah-sparse, whose recursive estimators step lazily),
   under each variant of ``tests/test_segments.py::_variants`` that holds no
   callable, at seeds 0 and 7;
+- the same fields for runs at perfbench's l2s-dense shape (n = 1024,
+  d = 16, lam 0) with the iterates recorded: L2S with m = 32 and
+  T = 20000 (about 650 snapshots), and SVRG with m = 4 and S = 300, at
+  seeds 0 and 1;
 - ``parse_libsvm``'s arrays for the canary's text at seeds 0, 1 and 2,
   and for the full-shape text that sarah-sparse parses at seeds 0 and 1;
 - ``parse_libsvm``'s arrays for a text of several blocks whose second
@@ -55,6 +59,7 @@ from vropt.model import LogisticModel, NonconvexLogisticModel  # noqa: E402
 
 CANARY = rcv1gen.Rcv1Shape(n=1000, d=2000)
 LONG = rcv1gen.Rcv1Shape(n=2000, d=2000)  # about 3.5 blocks of text
+L2S_DENSE = SyntheticSpec(n=1024, d=16, spread=1.5, noise_rate=0.1, seed=0)
 
 
 def _bytes(value) -> bytes:
@@ -87,6 +92,18 @@ def _models():
     }
 
 
+def _result_lines(tag, model, config):
+    try:
+        result = optim.run(model, config)
+    except DivergenceError as exc:
+        yield _line(f"{tag}/error", (type(exc).__name__, str(exc),
+                                     exc.iteration))
+        return
+    for f in dataclasses.fields(result):
+        if f.name != "config":
+            yield _line(f"{tag}/{f.name}", getattr(result, f.name))
+
+
 def run_lines():
     for name, model in _models().items():
         for algo in optim.ALGORITHMS:
@@ -95,19 +112,17 @@ def run_lines():
                         if not any(callable(v) for v in kw.values())]
             for k, kw in enumerate(variants):
                 for seed in (0, 7):
-                    tag = f"run/{name}/{algo}/v{k:02d}/seed{seed}"
-                    config = optim.OptimizerConfig(algo, eta=eta, seed=seed,
-                                                   **kw)
-                    try:
-                        result = optim.run(model, config)
-                    except DivergenceError as exc:
-                        yield _line(f"{tag}/error", (type(exc).__name__,
-                                                     str(exc), exc.iteration))
-                        continue
-                    for f in dataclasses.fields(result):
-                        if f.name != "config":
-                            yield _line(f"{tag}/{f.name}",
-                                        getattr(result, f.name))
+                    yield from _result_lines(
+                        f"run/{name}/{algo}/v{k:02d}/seed{seed}", model,
+                        optim.OptimizerConfig(algo, eta=eta, seed=seed, **kw))
+    model = LogisticModel(generate_synthetic(L2S_DENSE), lam=0.0)
+    for algo, kw in (("L2S", dict(m=32, T=20_000)), ("SVRG", dict(m=4, S=300))):
+        for seed in (0, 1):
+            yield from _result_lines(
+                f"run/l2s-dense/{algo}/seed{seed}", model,
+                optim.OptimizerConfig(algo, eta=0.5 / model.L, seed=seed,
+                                      record_every_pass=None,
+                                      record_iterates=True, **kw))
 
 
 def _declined_blocks() -> str:

@@ -1,13 +1,15 @@
 """Alternating benchmark pairs of two commits, with a verdict per metric.
 
-    python3 tools/pairs.py --parent REV [--change REV] --workload W \\
+    python3 tools/pairs.py --parent REV [--change REV] --workload W[,W2...] \\
         --seeds 1-10 [--seconds S]
 
 Each side is exported with ``git archive`` into a temporary directory, and
 ``vropt`` is imported there once, so that its kernel is built before any
-run is timed.  Then, for each seed, ``perfbench/run.py --workload W --seed
-s`` runs once per side, one process at a time, the parent first for the
-first seed and the change first for the next, and so on.  For each
+run is timed.  Then, for each seed and, within it, each workload W,
+``perfbench/run.py --workload W --seed s`` runs once per side, one process
+at a time (``schedule``): the parent first for a workload's first seed,
+the change first for its next, and so on, so that several workloads share
+one session and each alternates on its own.  For each workload and each
 end-to-end metric of ``BENCHMARK.json`` it prints each side's median and
 quartiles, the median of the per-pair ratios change / parent, the change's
 wins and the verdict of ``verdict``; next to ``peak_rss_mb``, each side's
@@ -84,6 +86,46 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
+def schedule(workloads, seeds) -> list:
+    """The runs in order, as (workload, seed, side): per seed, per workload,
+    one pair, whose first side alternates over each workload's seeds and
+    from one workload to the next."""
+    runs = []
+    for k, seed in enumerate(seeds):
+        for j, workload in enumerate(workloads):
+            sides = ("parent", "change")[::1 if (k + j) % 2 == 0 else -1]
+            runs += [(workload, seed, side) for side in sides]
+    return runs
+
+
+def report(workload: str, seeds, results: dict, metrics, parent: str,
+           change: str) -> None:
+    """Print one workload's table from its paired ``results``."""
+    print(f"{workload}: {len(seeds)} pairs, seeds {seeds}, "
+          f"parent {parent}, change {change}")
+    for side, runs in results.items():
+        print(f"  {side} failed: {[r['failed'] for r in runs]}")
+    print(f"  {'metric':12s} {'parent q1/median/q3':>34s} "
+          f"{'change q1/median/q3':>34s} {'ratio':>7s} {'wins':>5s}  verdict")
+    repetitions = "  (median repetitions: " + ", ".join(
+        f"{side} {statistics.median(r['repetitions'] for r in runs):g}"
+        for side, runs in results.items()) + ")"
+    for m in metrics:
+        name = m["name"]
+        if not all(name in r["metrics"] for rs in results.values()
+                   for r in rs):
+            continue
+        par = [r["metrics"][name]["value"] for r in results["parent"]]
+        chg = [r["metrics"][name]["value"] for r in results["change"]]
+        ratio = statistics.median(c / q for q, c in zip(par, chg) if q)
+        qp, qc = quartiles(par), quartiles(chg)
+        print(f"  {name:12s} {' / '.join(f'{v:.4g}' for v in qp):>34s} "
+              f"{' / '.join(f'{v:.4g}' for v in qc):>34s} {ratio:7.3f} "
+              f"{wins(par, chg, m['better']):2d}/{len(par):<2d}  "
+              f"{verdict(par, chg, m['better'], m['bound'])}"
+              + (repetitions if name == "peak_rss_mb" else ""))
+
+
 def export(rev: str, into: Path) -> None:
     """The tree of ``rev`` written into ``into``, then its kernel built."""
     into.mkdir()
@@ -123,51 +165,32 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True)
     p.add_argument("--change", default="HEAD")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True,
+                   type=lambda text: text.split(","),
+                   help="a workload, or several separated by commas")
     p.add_argument("--seeds", type=parse_seeds, required=True)
     p.add_argument("--seconds", type=float, default=None)
     args = p.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    results = {"parent": [], "change": []}
+    results = {w: {"parent": [], "change": []} for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="vropt-pairs-") as tmp:
-        sides = {name: Path(tmp) / name for name in results}
+        sides = {name: Path(tmp) / name for name in ("parent", "change")}
         export(args.parent, sides["parent"])
         export(args.change, sides["change"])
-        for k, seed in enumerate(args.seeds):
-            for name in ("parent", "change")[::1 if k % 2 == 0 else -1]:
-                got = run_once(sides[name], args.workload, seed, args.seconds,
-                               Path(tmp) / "result.json")
-                results[name].append(got)
-                print(f"seed {seed} {name}: failed {got['failed']} of "
-                      f"{got['attempted']}, repetitions {got['repetitions']}, "
-                      + " ".join(f"{m}={v['value']:.6g}"
-                                 for m, v in got["metrics"].items()),
-                      file=sys.stderr)
+        for workload, seed, name in schedule(args.workload, args.seeds):
+            got = run_once(sides[name], workload, seed, args.seconds,
+                           Path(tmp) / "result.json")
+            results[workload][name].append(got)
+            print(f"{workload} seed {seed} {name}: failed {got['failed']} of "
+                  f"{got['attempted']}, repetitions {got['repetitions']}, "
+                  + " ".join(f"{m}={v['value']:.6g}"
+                             for m, v in got["metrics"].items()),
+                  file=sys.stderr)
 
-    print(f"{args.workload}: {len(args.seeds)} pairs, seeds {args.seeds}, "
-          f"parent {args.parent}, change {args.change}")
-    for side, runs in results.items():
-        print(f"  {side} failed: {[r['failed'] for r in runs]}")
-    print(f"  {'metric':12s} {'parent q1/median/q3':>34s} "
-          f"{'change q1/median/q3':>34s} {'ratio':>7s} {'wins':>5s}  verdict")
-    repetitions = "  (median repetitions: " + ", ".join(
-        f"{side} {statistics.median(r['repetitions'] for r in runs):g}"
-        for side, runs in results.items()) + ")"
-    for m in metrics:
-        name = m["name"]
-        if not all(name in r["metrics"] for rs in results.values()
-                   for r in rs):
-            continue
-        par = [r["metrics"][name]["value"] for r in results["parent"]]
-        chg = [r["metrics"][name]["value"] for r in results["change"]]
-        ratio = statistics.median(c / q for q, c in zip(par, chg) if q)
-        qp, qc = quartiles(par), quartiles(chg)
-        print(f"  {name:12s} {' / '.join(f'{v:.4g}' for v in qp):>34s} "
-              f"{' / '.join(f'{v:.4g}' for v in qc):>34s} {ratio:7.3f} "
-              f"{wins(par, chg, m['better']):2d}/{len(par):<2d}  "
-              f"{verdict(par, chg, m['better'], m['bound'])}"
-              + (repetitions if name == "peak_rss_mb" else ""))
+    for workload in args.workload:
+        report(workload, args.seeds, results[workload], metrics, args.parent,
+               args.change)
     return 0
 
 
