@@ -51,9 +51,16 @@ are the same on both paths, and the iterates agree to rounding.
 
 Engine
 ------
-When ``engine`` selects it, ``_kernel.Segments`` takes the inner-step
-passes up to each event in C, bit-identical to this loop;
-``RunResult.engine`` records which ran.
+When ``engine`` selects it, ``_kernel.Segments`` takes the passes up to
+each event in C, bit-identical to this loop; ``RunResult.engine`` records
+which ran.  Those passes are the inner steps and the snapshots whose point
+is the current iterate (L2S's coin and SVRG's period): their full
+gradient, IFOs, logs and stop test run in the kernel too.  The other
+snapshots, which restart at x_a (SARAH, SARAH-LI, D2S) or step back
+(L2S-SC), and any snapshot whose update reaches a trace threshold or the
+budget, are this loop's.  Both engines append to the same logs
+(``_Log``): the snapshot iterations, gradients and points, the coins, the
+indices and the iterates.
 
 The step-size planner lives in ``vropt.planner``.
 """
@@ -188,7 +195,8 @@ class RunResult:
 
 class _Log:
     """A growable array of rows that the compiled kernel also appends to,
-    in place (``free``, then ``size += k``)."""
+    in place: ``free`` makes room, the kernel writes rows from ``size`` on
+    and ``size`` is set to where it stopped."""
 
     __slots__ = ("buf", "size")
 
@@ -598,11 +606,8 @@ def run(model, config: OptimizerConfig) -> RunResult:
     while updates != u_cap and st.snaps != s_cap:
         if seg is not None:
             updates, inner = seg.run(updates, inner, a_at)
-            if st.hit_target:
-                x_out = est.materialise()  # the kernel's certified point
-                break
-            if updates == u_cap:
-                break
+            if updates == u_cap or st.hit_target:
+                break  # a target met in the kernel: x_out is its point, x_t
         if sched is not None:
             est.eta = sched(st.counter.count // n)
         if not st.snaps:
