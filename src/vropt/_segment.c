@@ -1,5 +1,7 @@
-/* Inner-step segments of vropt.optim.run: the passes between two events,
-   with the arithmetic of the Python estimators operation for operation.
+/* Segments of vropt.optim.run: the passes between two events (inner
+   steps, and the snapshots at the current iterate), with the arithmetic
+   of the Python estimators and of the model's full gradient operation for
+   operation.
 
    Bit identity with the Python path rests on three things.  Every dot
    product goes through the ddot numpy's own `a @ b` calls (vr_set_ddot),
