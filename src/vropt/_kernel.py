@@ -185,10 +185,12 @@ def chars(text):
 class Reader:
     """The kernel's LIBSVM reader on one text of ``size`` bytes at
     ``chars``, with arrays for the labels, nonzeros per row, 0-based indices
-    and values of all its rows, sized once by one count of its '\n' and ':'
-    bytes (``vr_size_block``) and filled from the front, block after block:
-    by the reader in place (``read``) or with arrays read elsewhere
-    (``put``)."""
+    and values of all its rows, sized once by one count (``vr_size_block``)
+    of its ':' bytes and of its bytes below 0x1f, which hold every line end
+    of this reader and of ``vropt.data._parse_block``: a text cut into
+    blocks just after a '\n' fits them whichever of the two reads each
+    block.  They are filled from the front, block after block: by the
+    reader in place (``read``) or with arrays read elsewhere (``put``)."""
 
     def __init__(self, chars, size: int):
         room = ffi.new("vr_block *")
@@ -202,7 +204,7 @@ class Reader:
     def read(self, lo: int, hi: int):
         """Read the whole lines text[lo:hi] into the arrays after what is
         there; their line breaks, or None (and nothing filled) where the
-        reader declines them or the arrays have no room left for them."""
+        reader declines them."""
         labels, _, indices, _ = self.arrays
         at = (self.rows, self.rows, self.nnz, self.nnz)
         b = ffi.new("vr_block *", [
@@ -214,19 +216,14 @@ class Reader:
         self.nnz += b.nnz
         return b.breaks
 
-    def put(self, part) -> bool:
+    def put(self, part):
         """Copy one block's (labels, nonzeros per row, indices, values) into
-        the arrays after what is there, if they fit; whether they did."""
-        rows, nnz = part[0].size, part[2].size
-        if (self.rows + rows > self.arrays[0].size
-                or self.nnz + nnz > self.arrays[2].size):
-            return False
+        the arrays after what is there."""
         at = (self.rows, self.rows, self.nnz, self.nnz)
         for array, k, new in zip(self.arrays, at, part):
             array[k:k + new.size] = new
-        self.rows += rows
-        self.nnz += nnz
-        return True
+        self.rows += part[0].size
+        self.nnz += part[2].size
 
     def filled(self):
         """The filled part of the arrays, as views."""

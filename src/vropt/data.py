@@ -247,8 +247,11 @@ def _text(source):
     if isinstance(source, str):
         yield source
     else:
-        with memoryview(source) as view, view.cast("B") as text:
-            yield text
+        with memoryview(source) as view:
+            if not view.c_contiguous:  # strided: read from one flat copy
+                view = memoryview(view.tobytes())
+            with view.cast("B") as text:
+                yield text
 
 
 def _blocks(text):
@@ -271,17 +274,12 @@ def _read(text):
         reader = None if chars is None else _kernel.Reader(chars, len(text))
         for lo, hi in _blocks(text):
             breaks = None if reader is None else reader.read(lo, hi)
-            if breaks is None:  # declined, or no in-place reader: as bytes
+            if breaks is None:  # declined, or no in-place reader: numpy's
                 block = text[lo:hi]
                 block = (block.encode("ascii", "replace")
                          if isinstance(block, str) else block.tobytes())
-                *part, breaks = ((reader is None and _kernel.read_block(block))
-                                 or _parse_block(block, lines))
-                if reader is not None and not reader.put(part):
-                    # numpy's line breaks made more rows than the '\n's
-                    parts, reader = [reader.filled()], None
-                if reader is None:
-                    parts.append(part)
+                *part, breaks = _parse_block(block, lines)
+                (parts.append if reader is None else reader.put)(part)
             lines += breaks
     if reader is not None:
         return reader.filled()
@@ -306,19 +304,21 @@ def parse_libsvm(source, d: int | None = None, name: str = "unnamed") -> Dataset
     each.  The compiled kernel reads a block when the block keeps to a
     strict subset of the format ("\n" line ends, tokens separated by
     spaces, plain-digit indices, decimal numbers; see ``_read.c``); any
-    other block, and every block when no kernel is loaded, is tokenised and
-    converted in bulk by numpy (``_parse_block``), which is also what names
-    the errors.  Both give the same arrays, bit for bit.
+    other block is tokenised and converted in bulk by numpy
+    (``_parse_block``), which is also what names the errors.  Both give the
+    same arrays, bit for bit.
 
-    With the kernel loaded, a bytes-like object's bytes and an ASCII str's
-    characters are read in place, without a copy: the kernel counts the
-    text's '\n' and ':' once, the output arrays are allocated once for that
-    many rows and nonzeros, and each block is read straight into them (a
-    block that numpy reads is copied in).  Where numpy's line breaks (it
-    also breaks lines at '\r' and the like) make more rows than that
-    room, the rest of the text is read block by block and the blocks'
-    arrays are concatenated, as is every text when no kernel is loaded.  A
-    str with a non-ASCII character is encoded block by block.
+    The text is read in one of two ways.  With the kernel loaded, a
+    bytes-like object's bytes and an ASCII str's characters are read in
+    place: the kernel counts the text's ':' bytes and its bytes below 0x1f,
+    which hold every line end of both readers, the output arrays are
+    allocated once with room for that many nonzeros and one row more than
+    those bytes, and each block is read straight into them, or by numpy and
+    copied in.  Otherwise (no kernel, or a str with a non-ASCII character)
+    numpy reads every block and the blocks' arrays are concatenated.  A
+    non-ASCII character reads as '?', which no token can hold, so such a
+    str always raises ParseError.  A bytes-like object that is not
+    C-contiguous is read from one contiguous copy.
     """
     with _text(source) as text:
         labels, counts, indices, values = _read(text)

@@ -496,6 +496,59 @@ def test_bytes_like_sources(request, tmp_path, kind, kernel):
     source += b"-1 1:1\n"
 
 
+@pytest.mark.parametrize("kernel", ["loaded", "hidden"])
+@pytest.mark.parametrize("kind", ["memoryview", "numpy"])
+def test_strided_sources(request, kind, kernel):
+    """A bytes-like source that is not C-contiguous gives the Dataset of
+    the same text as bytes."""
+    text = rcv1gen.generate_text(6, CANARY).encode()
+    doubled = bytearray(2 * len(text))
+    doubled[::2] = text
+    source = (memoryview(doubled)[::2] if kind == "memoryview"
+              else np.frombuffer(doubled, np.uint8)[::2])
+    if kernel == "hidden":
+        request.getfixturevalue("no_kernel")
+    assert not memoryview(source).c_contiguous
+    assert same(outcome(source), outcome(text))
+
+
+# every line end but '\n' that _parse_block knows (str.splitlines' set)
+LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def _rows_ended_by(ends) -> str:
+    """Rows ended by each of ``ends`` in turn inside one block, then a last
+    row ended by '\n'."""
+    return "".join(f"+1 1:1{e}-1 2:0.5 4:2{e}" for e in ends) + "+1 3:1\n"
+
+
+@pytest.mark.parametrize("ends", [[e] for e in LINE_ENDS] + [LINE_ENDS],
+                         ids=[repr(e) for e in LINE_ENDS] + ["all"])
+def test_every_line_end_ends_a_row(request, ends):
+    """Each line end ends a row, from str and from bytes, with the kernel
+    loaded and hidden: the Dataset is that of the same rows ended by
+    '\n'."""
+    text = _rows_ended_by(ends)
+    want = outcome(_rows_ended_by(["\n"] * len(ends)))
+    assert want[3].size == 2 * len(ends) + 1
+    compiled, numpy = both_readers(
+        request, lambda: [outcome(text), outcome(text.encode())])
+    for got in (*compiled, *numpy):
+        assert same(got, want)
+
+
+@needs_kernel
+def test_room_holds_every_line_end():
+    """The room the kernel counts for a text holds the rows and nonzeros
+    numpy makes of it, whatever its line ends."""
+    text = _rows_ended_by(LINE_ENDS).encode()
+    labels, _, indices, _, _ = _parse_block(text, 0)
+    with _kernel.chars(text) as chars:
+        room = _kernel.Reader(chars, len(text)).arrays
+    assert room[0].size >= labels.size > text.count(b"\n") + 1
+    assert room[2].size >= indices.size
+
+
 # -- row norms -----------------------------------------------------------
 
 @pytest.fixture(scope="module")

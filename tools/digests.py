@@ -2,9 +2,11 @@
 
     python3 tools/digests.py                          # the kernel as loaded
     PYTHONPATH=tools/no_kernel python3 tools/digests.py   # cffi hidden
+    python3 tools/digests.py --parent REV             # diff REV against this tree
 
-Prints sorted ``name sha256[:16]`` lines, one per output, for the tree the
-script sits in:
+Prints sorted ``name sha256[:16]`` lines, one per output, for vropt as
+imported from ``--src`` (by default the ``src/`` of the tree the script
+sits in; the texts, grids and configs always come from this tree):
 
 - every RunResult field but the config (the input), or the type, message
   and iteration of the DivergenceError raised, for every algorithm on four
@@ -20,30 +22,41 @@ script sits in:
   and for the full-shape text that sarah-sparse parses at seeds 0 and 1;
 - ``parse_libsvm``'s arrays for a text of several blocks whose second
   block has a CRLF line end and whose third has two rows ended by a lone
-  CR, which the compiled reader declines and numpy reads (the second as
-  one more block put in place, the third with more rows than the text's
-  '\n's, so that the rest goes block by block), parsed from str and from
-  bytes;
+  CR, which the compiled reader declines and numpy reads, and for a text
+  of several blocks whose rows end with each of the seven line ends in
+  turn, each parsed from str and from bytes;
 - each CSV and ``summary.json`` that ``vropt run demos/config/race.ini``
   writes (``metadata.json`` holds timings and is left out).
 
-Run it in two trees (``git archive`` one into a temporary directory) and
-diff the outputs: an empty diff means the two commits computed the same
-bits.
+``--parent REV`` exports REV with ``git archive`` into a temporary
+directory and runs this script against REV's ``src/`` and this tree's, with
+the kernel as loaded and with ``PYTHONPATH=tools/no_kernel``; it prints the
+diff of each pair of outputs and exits 1 on any difference, 0 when the two
+computed the same bits.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
+import difflib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-for path in (ROOT / "src", ROOT / "perfbench", ROOT / "tests"):
+_parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+_parser.add_argument("--src", type=Path, default=ROOT / "src",
+                     help="the src/ directory to import vropt from")
+_parser.add_argument("--parent", metavar="REV",
+                     help="diff REV's digests against this tree's")
+ARGS = _parser.parse_args(None if __name__ == "__main__" else [])
+for path in (ARGS.src, ROOT / "perfbench", ROOT / "tests"):
     sys.path.insert(0, str(path))
 
 import numpy as np  # noqa: E402
@@ -134,6 +147,14 @@ def _declined_blocks() -> str:
     return "".join(lines)
 
 
+def _line_ends() -> str:
+    """A text of several blocks whose rows end with each of the seven line
+    ends that numpy's reader knows, in turn."""
+    ends = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    lines = rcv1gen.generate_text(5, LONG).splitlines()
+    return "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+
+
 def _texts():
     """(tag, text, d) of each text whose parse is hashed."""
     for tag, shape, seeds in (("", CANARY, (0, 1, 2)),
@@ -143,6 +164,9 @@ def _texts():
     declined = _declined_blocks()
     yield "declined/str", declined, LONG.d
     yield "declined/bytes", declined.encode(), LONG.d
+    line_ends = _line_ends()
+    yield "line-ends/str", line_ends, LONG.d
+    yield "line-ends/bytes", line_ends.encode(), LONG.d
 
 
 def parse_lines():
@@ -164,7 +188,35 @@ def race_lines():
                             path.read_bytes())
 
 
+def compare(rev: str) -> int:
+    """Diff the digests of REV's src/ against this tree's, with the kernel
+    loaded and hidden; 1 on any difference."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    hidden = {"PYTHONPATH": str(ROOT / "tools" / "no_kernel")}
+    differ = False
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        for kernel, extra in (("loaded", {}), ("hidden", hidden)):
+            outputs = [subprocess.run(
+                [sys.executable, __file__, "--src", str(src)],
+                env={**env, **extra}, check=True, capture_output=True,
+                text=True).stdout.splitlines()
+                for src in (Path(tree) / "src", ROOT / "src")]
+            diff = list(difflib.unified_diff(
+                *outputs, f"{rev} (kernel {kernel})",
+                f"this tree (kernel {kernel})", lineterm=""))
+            print(f"kernel {kernel}: {len(outputs[1])} digests, "
+                  + ("they differ:" if diff else "no difference"), *diff,
+                  sep="\n", flush=True)
+            differ |= bool(diff)
+    return int(differ)
+
+
 def main() -> int:
+    if ARGS.parent is not None:
+        return compare(ARGS.parent)
     lines = [*run_lines(), *parse_lines(), *race_lines()]
     print("\n".join(sorted(lines)))
     return 0
