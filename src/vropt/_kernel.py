@@ -232,19 +232,6 @@ class Reader:
                 values[:self.nnz])
 
 
-def read_block(block):
-    """``vropt.data._parse_block(block, 0)``'s tuple (labels, nonzeros per
-    row, 0-based indices, values, line breaks) as the kernel reads the
-    bytes-like ``block``, or None when no kernel is loaded or the block is
-    outside its grammar."""
-    if lib is None:
-        return None
-    with ffi.from_buffer(block) as view:
-        reader = Reader(view, len(view))
-        breaks = reader.read(0, len(view))
-    return None if breaks is None else (*reader.filled(), breaks)
-
-
 def _bounds_ok(indptr, size) -> bool:
     """Whether ``indptr`` rises from 0 to ``size``, as a CSR matrix's does."""
     return bool(indptr.ndim == 1 and indptr.size and indptr[0] == 0
@@ -434,22 +421,22 @@ class Segments:
         return s.updates, s.inner
 
 
-# decimals that a reader which does not round correctly gets wrong: ties
-# and near-ties at 2^53 and 1 + 2^-53, 17-digit mantissas, the edges of the
-# normal range and exact powers of ten at the fast path's bounds; then, for
-# the 128-bit path, exact binary ties of 17-19 digits (to even, down and up;
-# divided, multiplied and plain), each with its neighbours one unit away in
-# the last digit, 19 digits over 10^22, a divisor wider than 64 bits,
-# shortest reprs whose quotient by 10^22 has 54 bits, the fewest it can have,
-# and 20-digit mantissas that wrap to 0 modulo 2^64 (plain, as 19 digits
-# times 10 and as 20 digits over 10^20); then two ties of 19 digits that the
-# Eisel-Lemire step declines, one in each of its branches: at a negative
-# power its truncated product falls just short of the tie, so the bits under
-# the rounding bit are all ones (the wider-product check), and at a positive
-# power the product is exact, so they are all zeros (the half-way check);
-# last, a 2 behind 63 leading zeros: a reader that counted them as
-# significant would pass it to strtod, whose copy of a block's last token
-# holds 63 characters, and decline the block
+# decimals that a reader which does not round correctly gets wrong: ties and
+# near-ties at 2^53 and 1 + 2^-53, 17-digit mantissas, the edges of the normal
+# range and exact powers of ten at the fast path's bounds; then, as
+# Eisel-Lemire's declines, read by strtod, exact binary ties of 17-19 digits
+# (to even, down and up; divided, multiplied and plain), each with its
+# neighbours one unit away in the last digit, 19 digits over 10^22, a divisor
+# wider than 64 bits, shortest reprs whose quotient by 10^22 has 54 bits, the
+# fewest it can have, and 20-digit mantissas that wrap to 0 modulo 2^64 (plain,
+# as 19 digits times 10 and as 20 digits over 10^20); then two ties of 19
+# digits that the Eisel-Lemire step declines, one in each of its branches: at a
+# negative power its truncated product falls just short of the tie, so the bits
+# under the rounding bit are all ones (the wider-product check), and at a
+# positive power the product is exact, so they are all zeros (the half-way
+# check); last, a 2 behind 63 leading zeros: a reader that counted them as
+# significant would pass it to strtod, whose copy of a block's last token holds
+# 63 characters, and decline the block
 HARD_DECIMALS = (
     "9007199254740993", "9007199254740995", "9007199254740992e22",
     "1.00000000000000011102230246251565404236316680908203125",
@@ -593,11 +580,15 @@ def _self_test() -> bool:
     for text in HARD_DECIMALS + tuple(_near_ties()):
         # as label and value, and as the last token of a block (which the
         # reader copies before strtod reads it)
-        got = read_block(f"{text} 1:{text}\n{text}".encode())
+        block = f"{text} 1:{text}\n{text}".encode()
+        with ffi.from_buffer(block) as view:
+            reader = Reader(view, len(view))
+            if reader.read(0, len(view)) is None:
+                continue
+        labels, _, _, values = reader.filled()
         value = float(text)
-        labels, values = np.array([value, value]), np.array([value][:value != 0])
-        if got is not None and (got[0].tobytes() != labels.tobytes()
-                                or got[3].tobytes() != values.tobytes()):
+        if (labels.tobytes() != np.array([value, value]).tobytes()
+                or values.tobytes() != np.array([value][:value != 0]).tobytes()):
             return False
     return True
 

@@ -17,25 +17,25 @@
    for digits in one step and turned into their value with three
    multiplications (SWAR, as in Lemire's fast_float); the last few digits go
    one by one.  Its significant digits (leading zeros do not count), taken
-   as an integer m, are read exactly in one of three ways when there are at
-   most 19 of them, so that m < 10^19 < 2^64, and its power of ten q is
-   within [-22, 22].  When m <= 2^53, m and 10^|q| are doubles, and one
-   correctly rounded multiplication or division gives the correctly rounded
-   value (Clinger's fast path).  Otherwise, when q <= 19 and the compiler
-   has a 128-bit integer, the Eisel-Lemire step multiplies m by a truncated
-   64-bit 10^q and rounds the top of the product, unless the product is too
-   close to a rounding boundary for the truncation to be ruled out or is an
-   exact half-way case; then m 10^q is the exact 128-bit product, or the
-   quotient of m shifted to the top of 128 bits by 10^-q with the remainder
-   as a sticky bit, rounded to 53 bits half to even.  Other numbers go to
-   strtod, which in glibc rounds correctly too, and the reader declines
-   unless strtod stopped exactly at the end of the token: a locale whose
-   decimal point is not '.' makes it stop early, so the reader never reads
+   as an integer m, are read exactly by the reader when there are at most 19
+   of them, so that m < 10^19 < 2^64, and its power of ten q is within
+   [-22, 22].  When m <= 2^53, m and 10^|q| are doubles, and one correctly
+   rounded multiplication or division gives the correctly rounded value
+   (Clinger's fast path).  Otherwise, when q <= 19 and the compiler has a
+   128-bit integer, the Eisel-Lemire step multiplies m by a truncated 64-bit
+   10^q and rounds the top of the product, unless the product is too close
+   to a rounding boundary for the truncation to be ruled out or is an exact
+   half-way case; then strtod reads m 10^q written as "<m>e<q>", a text
+   without a decimal point.  Other numbers go to strtod as their token
+   reads, and the reader declines unless strtod stopped exactly at the end
+   of the token: a locale whose decimal point is not '.' makes it stop
+   early.  glibc's strtod rounds correctly too, so the reader never reads
    a number differently from float(). */
 
 #include <errno.h>
+#include <inttypes.h>
 #include <math.h>
-#include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -86,52 +86,6 @@ static const char *digit_run(const char *p, const char *end, uint64_t *m,
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
-
-static const u128 pow10_wide[23] = {
-    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL,
-    10000000ULL, 100000000ULL, 1000000000ULL, 10000000000ULL,
-    100000000000ULL, 1000000000000ULL, 10000000000000ULL,
-    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
-    100000000000000000ULL, 1000000000000000000ULL,
-    10000000000000000000ULL, (u128)10000000000000000000ULL * 10,
-    (u128)10000000000000000000ULL * 100,
-    (u128)10000000000000000000ULL * 1000};
-
-static int bit_length(u128 x)
-{
-    uint64_t hi = (uint64_t)(x >> 64), lo = (uint64_t)x;
-    return hi ? 128 - __builtin_clzll(hi) : lo ? 64 - __builtin_clzll(lo) : 0;
-}
-
-/* m 10^scale for 0 < m < 10^19 and scale in [-22, 19], correctly rounded:
-   the exact product, or the quotient of m shifted to the top of 128 bits
-   (at least 2^127 / 10^22 > 2^53, so 54 bits or more) with the remainder
-   as a sticky bit, rounded to 53 bits half to even. */
-static double exact_scaled(uint64_t m, int64_t scale)
-{
-    u128 x = m, q, rest, half;
-    int shift = 0, sticky = 0, cut;
-
-    if (scale >= 0) {
-        x *= pow10_wide[scale];
-    } else {
-        shift = 128 - bit_length(x);
-        x <<= shift;
-        q = x / pow10_wide[-scale];
-        sticky = q * pow10_wide[-scale] != x;   /* a remainder */
-        x = q;
-    }
-    cut = bit_length(x) - 53;
-    if (cut > 0) {
-        rest = x & (((u128)1 << cut) - 1);
-        half = (u128)1 << (cut - 1);
-        x >>= cut;
-        if (rest > half || (rest == half && (sticky || (x & 1))))
-            x++;                        /* 2^53 still converts exactly */
-        shift -= cut;
-    }
-    return ldexp((double)(uint64_t)x, -shift);
-}
 
 /* 10^q = pow10_high[q + 22] 2^(floor(q log2 10) - 63), rounded down (exact
    for q >= 0), for q in [-22, 19]; made with Python's exact integers by
@@ -220,6 +174,7 @@ static const char *number(const char *p, const char *end, double *value)
             return NULL;
     }
     scale = (exp_negative ? -exp : exp) - frac;
+    /* kept: Eisel-Lemire declines exact decimals at negative powers (0.5) */
     if (sig <= 19 && exp_digits <= 4 && m <= EXACT_MANTISSA
         && scale >= -22 && scale <= 22) {
         double v = (double)m;
@@ -230,8 +185,12 @@ static const char *number(const char *p, const char *end, double *value)
 #ifdef __SIZEOF_INT128__
     if (sig <= 19 && exp_digits <= 4 && scale >= -22 && scale <= 19) {
         double v;
-        if (!eisel_lemire(m, scale, &v))
-            v = exact_scaled(m, scale);
+        if (!eisel_lemire(m, scale, &v)) {
+            /* no decimal point in it, so no LC_NUMERIC changes its reading */
+            char text[32];
+            snprintf(text, sizeof text, "%" PRIu64 "e%" PRId64, m, scale);
+            v = strtod(text, NULL);
+        }
         *value = negative ? -v : v;
         return p;
     }

@@ -84,7 +84,7 @@ typedef struct {
 
 void vr_size_block(const char *text, int64_t size, vr_block *b);
 int vr_read_block(const char *text, int64_t size, vr_block *b);
-/* 1 when the reader has its 128-bit exact path (a compiler with __int128) */
+/* 1 when the reader has its Eisel-Lemire step (a compiler with __int128) */
 int vr_read_wide(void);
 void vr_row_sq_norms(int64_t n, const int64_t *indptr, const double *values,
                      double *out);

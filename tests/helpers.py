@@ -1,7 +1,9 @@
-"""Dataset builders shared by test modules (importable, unlike conftest)."""
+"""Dataset builders and the kernel's block reader, shared by test modules
+(importable, unlike conftest)."""
 
 import numpy as np
 
+from vropt import _kernel
 from vropt.data import Dataset
 
 
@@ -27,3 +29,16 @@ def make_sparse_dataset(n=300, d=1024, nnz=12, seed=0, scale=1.0):
                    indices=indices.astype(np.int64), values=values,
                    y=np.where(rng.random(n) < 0.5, 1.0, -1.0), d=d,
                    name="sparse")
+
+
+def read_block(block):
+    """``vropt.data._parse_block(block, 0)``'s tuple (labels, nonzeros per
+    row, 0-based indices, values, line breaks) as the kernel's ``Reader``
+    reads the bytes-like ``block``, or None when no kernel is loaded or the
+    block is outside its grammar."""
+    if _kernel.lib is None:
+        return None
+    with _kernel.ffi.from_buffer(block) as view:
+        reader = _kernel.Reader(view, len(view))
+        breaks = reader.read(0, len(view))
+    return None if breaks is None else (*reader.filled(), breaks)

@@ -25,6 +25,8 @@ from vropt.data import Dataset, _parse_block, parse_libsvm
 from vropt.errors import ParseError
 from vropt.model import LogisticModel, NonconvexLogisticModel
 
+from helpers import read_block
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import rcv1gen  # noqa: E402
 
@@ -70,7 +72,7 @@ def both_readers(request, fn):
 def check_block(block: bytes):
     """The reader's tuple equals the reference's when it takes the block;
     returns whether it did."""
-    got = _kernel.read_block(block)
+    got = read_block(block)
     if got is not None:
         want = reference(block)
         assert isinstance(want[0], np.ndarray), (block, want)
@@ -286,7 +288,7 @@ def test_many_decimals_read_as_float(seed):
     texts += [_decimal(str(k << 64) + zero, int(rng.integers(-30, 31)), rng)
               for k in range(1, 6) for zero in ("", "0") for _ in range(100)]
     texts += [_decimal(d, p, rng) for d, p in _ties(rng, 40_000)]
-    got = _kernel.read_block("\n".join(texts).encode())
+    got = read_block("\n".join(texts).encode())
     assert got is not None
     want = np.array([float(t) for t in texts])
     wrong = np.flatnonzero(got[0] != want)
@@ -327,7 +329,7 @@ def test_reader_loads_nothing_past_the_block():
         taken = 0
         for block in _last_tokens():
             buf[page - len(block):page] = block
-            got = _kernel.read_block(view[page - len(block):page])
+            got = read_block(view[page - len(block):page])
             if got is not None:
                 assert same(got, reference(block)), block
                 taken += 1
@@ -365,9 +367,10 @@ def _set_comma_locale() -> bool:
 @needs_kernel
 def test_comma_decimal_locale_falls_back(request, tmp_path, monkeypatch):
     """Under an LC_NUMERIC whose decimal point is ',', strtod stops at '.'
-    and the reader declines every number it would pass to strtod; the
-    exact ones, of up to 19 digits, it reads itself (those above 2^53 only
-    with its 128-bit path).  When no such locale
+    and the reader declines every number whose token it would pass to
+    strtod; the exact ones, of up to 19 digits, it reads itself (those
+    above 2^53 only with its Eisel-Lemire step, whose declines strtod reads
+    as "<m>e<q>", without a decimal point).  When no such locale
     is installed, de_DE.UTF-8 is built with localedef into tmp_path and
     found through LOCPATH."""
     saved = locale.setlocale(locale.LC_NUMERIC)
@@ -382,11 +385,17 @@ def test_comma_decimal_locale_falls_back(request, tmp_path, monkeypatch):
                 pytest.skip(f"localedef lacks its source: {proc.stderr}")
             monkeypatch.setenv("LOCPATH", str(tmp_path))
             assert _set_comma_locale(), proc.stderr
-        assert _kernel.read_block(b"1 1:0.1234567890123456789012\n") is None
-        # read by the 128-bit exact path where the kernel has it
-        assert (check_block(b"1 1:0.12345678901234567\n")
-                == bool(_kernel.lib.vr_read_wide()))
+        assert read_block(b"1 1:0.1234567890123456789012\n") is None
+        # read by the Eisel-Lemire step where the kernel has it
+        wide = bool(_kernel.lib.vr_read_wide())
+        assert check_block(b"1 1:0.12345678901234567\n") == wide
         assert check_block(b"1 1:0.5\n")
+        # Eisel-Lemire's declines, read by strtod from "<m>e<q>"; without
+        # the step, the token's strtod reads those without a '.'
+        for text in ("9007199254740993", "4503599627370496.5",
+                     "1126037345796096.875", _kernel._near_ties()[0]):
+            assert check_block(f"1 1:{text}\n".encode()) == (
+                wide or "." not in text), text
         text = rcv1gen.generate_text(3, rcv1gen.Rcv1Shape(n=50, d=200))
         compiled, numpy = both_readers(request, lambda: outcome(text))
         assert same(compiled, numpy)
@@ -397,14 +406,13 @@ def test_comma_decimal_locale_falls_back(request, tmp_path, monkeypatch):
 @needs_kernel
 def test_self_test_refuses_a_reader_off_by_one_ulp(monkeypatch):
     assert _kernel._self_test()
-    read = _kernel.read_block
+    filled = _kernel.Reader.filled
 
-    def off(block):
-        got = read(block)
-        if got is not None:
-            got[3][:] = np.nextafter(got[3], np.inf)
+    def off(reader):
+        got = filled(reader)
+        got[3][:] = np.nextafter(got[3], np.inf)
         return got
-    monkeypatch.setattr(_kernel, "read_block", off)
+    monkeypatch.setattr(_kernel.Reader, "filled", off)
     assert not _kernel._self_test()
 
 
