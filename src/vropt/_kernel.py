@@ -82,6 +82,7 @@ finally:
 
 lib = ffi = None
 status = "not loaded"
+_NO_LIMIT = (1 << 63) - 1  # the largest int64: an IFO count never reached
 
 
 def module_name() -> str:
@@ -338,16 +339,18 @@ def at_most(target) -> float:
 class Segments:
     """The kernel on a run's state (``vropt.optim``'s ``_Run``) and dense
     estimator (``_Dense``, whose ``code``, ``cur``, ``prev`` and ``v`` are
-    ``vr_seg``'s), reading A through the model's ``CSRView``.  ``run`` takes
-    the passes up to the next event (see _segment.h) in C, with the draws,
-    the IFO count, the divergence guard and the run's logs (``_Log``s, which
-    it appends to in place), and returns the loop position; the Python loop
-    then takes the event's pass.  With ``snap_in`` (L2S's coin and SVRG's
-    period, whose snapshot point is the current iterate) the kernel takes
-    the snapshots too: the full gradient, its IFOs, the stop test at
-    ``stop_grad_sq`` and the step.  The state is copied in per segment, as
-    Python may hold on to the estimator's arrays (x_a, also the next
-    snapshot point, and the output)."""
+    ``vr_seg``'s), reading A through the model's ``CSRView``.  ``run`` sets
+    its two limits (the horizon or the update before x_a's; the IFOs of the
+    budget, the next trace record or a schedule's next pass), takes the
+    passes up to them in C, with the draws, the IFO count, the divergence
+    guard and the run's logs (``_Log``s, which it appends to in place), and
+    returns the loop position; the Python loop takes the next pass.  With
+    ``snap_in`` (L2S's coin and SVRG's period, whose snapshot point is the
+    current iterate) the kernel takes the snapshots too: the full
+    gradient, its IFOs, the stop test at ``stop_grad_sq`` and the step.
+    The state is copied in per segment, as Python may hold on to the
+    estimator's arrays (x_a, also the next snapshot point, and the
+    output)."""
 
     def __init__(self, model, st, est, table, sched, coin_m, period, u_cap,
                  bern, snap_in):
@@ -372,9 +375,9 @@ class Segments:
             s.weights, s.accept, s.alias = self._hold[-3:]
         for rng, field_ in ((self.idx, s.idx_rng), (self.snap, s.snap_rng)):
             field_[0], field_[1] = rng._start, rng._gamma
-        s.coin_m, s.period, s.u_cap = coin_m, period, u_cap
-        s.ifo_cap = -1 if st.config.max_ifo is None else st.config.max_ifo
-        s.pass_k, s.diverge_sq = -1, st.diverge_sq
+        s.coin_m, s.period, s.diverge_sq = coin_m, period, st.diverge_sq
+        self.u_cap, self.ifo_cap = u_cap, (
+            _NO_LIMIT if st.config.max_ifo is None else st.config.max_ifo)
         s.snap_in, s.stop_sq = snap_in, at_most(st.config.stop_grad_sq)
         # each log the run keeps, with the kernel's (a view into s)
         self.logs = [(log, getattr(s, name)) for log, name in (
@@ -387,13 +390,14 @@ class Segments:
         st, est, s = self.st, self.est, self.s
         if not updates:
             return updates, inner  # the first update is Python's
-        count = st.counter.count
+        count, n = st.counter.count, self.n
+        s.until = a_at - 1 if a_at > updates else self.u_cap
+        s.stop_at = min(self.ifo_cap, _NO_LIMIT if st.rec_step is None
+                        else st.next_thresh)
         if self.sched is not None:
-            s.pass_k = count // self.n
-            est.eta = self.sched(s.pass_k)
+            est.eta = self.sched(count // n)
+            s.stop_at = min(s.stop_at, (count // n + 1) * n)
         s.eta, s.updates, s.inner, s.count = est.eta, updates, inner, count
-        s.a_at = a_at
-        s.rec_next = -1 if st.rec_step is None else st.next_thresh
         s.idx_rng[2], s.snap_rng[2] = self.idx._ctr, self.snap._ctr
         state = [None if a is None else np.array(a, np.float64, order="C")
                  for a in (est.cur, est.prev, est.v)]

@@ -1,4 +1,4 @@
-/* Segments of vropt.optim.run: the passes between two events (inner
+/* Segments of vropt.optim.run: its passes up to the limits it sets (inner
    steps, and the snapshots at the current iterate), with the arithmetic
    of the Python estimators and of the model's full gradient operation for
    operation.
@@ -195,21 +195,16 @@ static void put_row(vr_log *l, int64_t d, const double *x)
     }
 }
 
-/* 0 when the kernel may take the due snapshot at cur, else the event that
-   hands it to Python: a snapshot elsewhere than cur, a full snapshot log,
-   or, where the snapshot steps (all but the anchored estimator), a trace
-   threshold or the IFO budget that its n IFOs reach */
+/* 0 when the kernel may take the due snapshot at cur, else why it hands
+   it to Python: a snapshot elsewhere than cur or, where the snapshot steps
+   (all but the anchored estimator), one whose n IFOs reach stop_at; or a
+   full snapshot log */
 static int snapshot_event(const vr_seg *s)
 {
-    int64_t next = s->count + s->n;
-    if (!s->snap_in)
-        return VR_SNAPSHOT;
+    if (!s->snap_in || (s->kind != 1 && s->count + s->n >= s->stop_at))
+        return VR_PASS;
     if (full(&s->snap_log) || full(&s->snap_v_log) || full(&s->snap_x_log))
         return VR_FULL;
-    if (s->kind != 1 && s->rec_next >= 0 && next >= s->rec_next)
-        return VR_RECORD;
-    if (s->kind != 1 && s->ifo_cap >= 0 && next >= s->ifo_cap)
-        return VR_BUDGET;
     return 0;
 }
 
@@ -242,20 +237,11 @@ int vr_segment(vr_seg *s)
 {
     int64_t cost = s->kind == 0 ? 1 : 2, d = s->a->d, i;
     for (;;) {
-        int64_t next = s->count + cost;
         uint64_t sctr = s->snap_rng[2];
         int due, why;
         double nx;
-        if (s->updates == s->u_cap)
-            return VR_HORIZON;
-        if (s->rec_next >= 0 && next >= s->rec_next)
-            return VR_RECORD;
-        if (s->ifo_cap >= 0 && next >= s->ifo_cap)
-            return VR_BUDGET;
-        if (s->updates + 1 == s->a_at)
-            return VR_KEEP;
-        if (s->pass_k >= 0 && s->count / s->n != s->pass_k)
-            return VR_ETA;
+        if (s->updates == s->until || s->count + cost >= s->stop_at)
+            return VR_PASS;
         if (full(&s->idx_log) || full(&s->it_log) || full(&s->coin_log))
             return VR_FULL;
         due = s->coin_m ? below(s->snap_rng, s->coin_m) == 0
@@ -275,7 +261,7 @@ int vr_segment(vr_seg *s)
             i = draw_index(s);
             put_index(&s->idx_log, i);
             dense_step(s, i);
-            s->count = next;
+            s->count += cost;
             s->inner++;
         }
         s->updates++;

@@ -2,21 +2,16 @@
    set-up, _oracle.c: the model's full and bulk oracles), read both by the
    C compiler and by cffi (so: no preprocessor lines but integer defines). */
 
-/* why vr_segment stopped; every reason but VR_HORIZON, VR_FULL, VR_DIVERGED
-   and VR_TARGET leaves the next pass, undrawn, to the Python loop.  A
-   snapshot at the current iterate (snap_in: L2S's coin, SVRG's period) is
-   the kernel's own pass; the other snapshots (SARAH, SARAH-LI and D2S
-   restart at x_a, L2S-SC steps back and counts its snapshots) end the
-   segment with VR_SNAPSHOT */
-#define VR_HORIZON 0    /* updates reached u_cap */
-#define VR_RECORD 2     /* the next update reaches a trace threshold */
-#define VR_BUDGET 3     /* ... or the IFO budget */
-#define VR_KEEP 4       /* ... or is the restart point x_a */
-#define VR_ETA 5        /* the pass index count / n moved on (SGD step size) */
-#define VR_SNAPSHOT 6   /* the next pass is a snapshot Python takes */
-#define VR_FULL 7       /* a log is full */
-#define VR_DIVERGED 8   /* ||x_updates||^2 is not finite or above diverge_sq */
-#define VR_TARGET 9     /* a snapshot taken here met stop_sq: cur is its
+/* why vr_segment stopped; VR_PASS leaves the next pass, undrawn, to the
+   Python loop: a pass that reaches a limit of vr_seg (until, stop_at) or
+   a snapshot that the kernel does not take.  A snapshot at the current
+   iterate (snap_in: L2S's coin, SVRG's period) is the kernel's own pass;
+   the other snapshots (SARAH, SARAH-LI and D2S restart at x_a, L2S-SC
+   steps back and counts its snapshots) are Python's */
+#define VR_PASS 1       /* the next pass is Python's */
+#define VR_FULL 2       /* a log is full */
+#define VR_DIVERGED 3   /* ||x_updates||^2 is not finite or above diverge_sq */
+#define VR_TARGET 4     /* a snapshot taken here met stop_sq: cur is its
                            point, v its gradient */
 
 /* A's CSR rows, read by the model's products (_oracle.c) and segments */
@@ -53,8 +48,10 @@ typedef struct {
     uint64_t idx_rng[3], snap_rng[3];
     /* loop position, advanced in place */
     int64_t updates, inner, count;
-    /* events; -1 (0 for coin_m) where the run has none */
-    int64_t coin_m, period, u_cap, rec_next, ifo_cap, a_at, pass_k;
+    /* snapshots fall due on a coin of 1 in coin_m (0: no coin) or every
+       period steps (-1: never); the limits: Python takes the pass once
+       updates == until (-1: never) or when its IFOs take count to stop_at */
+    int64_t coin_m, period, until, stop_at;
     double diverge_sq;
     /* snapshots: 1 where they are taken here, at cur (see VR_TARGET for
        stop_sq, NaN where the run has no target) */

@@ -123,21 +123,14 @@ class OptimizerSetup:
 
     def build_config(self, model, passes: int, seed: int,
                      record_every_pass: float | None) -> OptimizerConfig:
-        n = model.n
-        m = self.resolve_m(n)
-        eta = self.resolve_eta(model, m)
-        budget = passes * n
-        kwargs = dict(algorithm=self.algorithm, eta=eta, m=m, seed=seed,
-                      record_every_pass=record_every_pass, max_ifo=budget)
-        if self.algorithm in ("GD", "SGD", "L2S"):
-            # GD: one step per pass; SGD, L2S: the IFO budget ends the run
-            kwargs["T"] = passes if self.algorithm == "GD" else budget
-        elif self.algorithm == "L2S-SC":
-            # epoch lengths are random; let the IFO budget terminate the run
-            kwargs["S"] = budget
-        else:
-            kwargs["S"] = budget // (n + 2 * m) + 2
-        return OptimizerConfig(**kwargs)
+        """The cell's run, which its IFO budget of ``passes`` n ends: every
+        update, outer loop or snapshot costs an IFO or more, so a horizon
+        (T or S) of the budget is never reached first."""
+        m, budget = self.resolve_m(model.n), passes * model.n
+        horizon = "T" if self.algorithm in ("GD", "SGD", "L2S") else "S"
+        return OptimizerConfig(self.algorithm, self.resolve_eta(model, m), m=m,
+                               seed=seed, record_every_pass=record_every_pass,
+                               max_ifo=budget, **{horizon: budget})
 
 
 @dataclass(frozen=True)

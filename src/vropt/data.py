@@ -352,6 +352,13 @@ def write_libsvm(dataset: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def gather_rows(indptr, rows):
+    """(indptr, positions of their nonzeros) of the CSR rows ``rows``."""
+    counts = indptr[rows + 1] - indptr[rows]
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    return ptr, np.repeat(indptr[rows] - ptr[:-1], counts) + np.arange(ptr[-1])
+
+
 def subsample(dataset: Dataset, n_sub: int, seed: int) -> Dataset:
     """Uniform sample of n_sub rows without replacement, seed-deterministic.
 
@@ -370,9 +377,7 @@ def subsample(dataset: Dataset, n_sub: int, seed: int) -> Dataset:
         j = i + rng.below(n - i)
         pool[i], pool[j] = pool[j], pool[i]
     rows = np.array(pool[:n_sub])
-    lo, hi = dataset.indptr[rows], dataset.indptr[rows + 1]
-    indptr = np.concatenate(([0], np.cumsum(hi - lo)))
-    take = np.repeat(lo - indptr[:-1], hi - lo) + np.arange(indptr[-1])
+    indptr, take = gather_rows(dataset.indptr, rows)
     return Dataset(indptr, dataset.indices[take], dataset.values[take],
                    dataset.y[rows], d=dataset.d, name=name)
 

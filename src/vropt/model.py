@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from . import _kernel
+from .data import gather_rows
 from .errors import ConfigError, ContractError, NumericError
 
 _BLOCK = 512  # rows per block of the bulk (unmetered) gradient helpers
@@ -131,11 +132,8 @@ class _CSR:
 
     def dense_rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows idx of A as a dense array, len(idx) by d."""
-        lo, counts = self.indptr[idx], self.indptr[idx + 1] - self.indptr[idx]
-        row = np.repeat(np.arange(idx.size), counts)
-        # the k-th gathered nonzero is entry k - (nonzeros of earlier rows)
-        # of its row, which starts at lo[row]
-        at = np.arange(row.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        ptr, at = gather_rows(self.indptr, idx)
+        row = np.repeat(np.arange(idx.size), np.diff(ptr))
         rows = np.zeros((idx.size, self.shape[1]))
         rows[row, self.indices[at]] = self.data[at]
         return rows

@@ -51,16 +51,16 @@ are the same on both paths, and the iterates agree to rounding.
 
 Engine
 ------
-When ``engine`` selects it, ``_kernel.Segments`` takes the passes up to
-each event in C, bit-identical to this loop; ``RunResult.engine`` records
-which ran.  Those passes are the inner steps and the snapshots whose point
-is the current iterate (L2S's coin and SVRG's period): their full
-gradient, IFOs, logs and stop test run in the kernel too.  The other
-snapshots, which restart at x_a (SARAH, SARAH-LI, D2S) or step back
-(L2S-SC), and any snapshot whose update reaches a trace threshold or the
-budget, are this loop's.  Both engines append to the same logs
-(``_Log``): the snapshot iterations, gradients and points, the coins, the
-indices and the iterates.
+When ``engine`` selects it, ``_kernel.Segments`` takes passes in C,
+bit-identical to this loop, up to two limits: the horizon or the update
+before x_a's, and the IFO count of the budget, the next trace record or a
+schedule's next pass.  ``RunResult.engine`` records which ran.  Its passes
+are the inner steps and the snapshots at the current iterate (L2S's coin
+and SVRG's period), with their full gradient, IFOs, logs and stop test.
+The other snapshots, which restart at x_a (SARAH, SARAH-LI, D2S) or step
+back (L2S-SC), and any snapshot whose IFOs reach the limit, are this
+loop's.  Both engines append to the same logs (``_Log``): the snapshot
+iterations, gradients and points, the coins, the indices and the iterates.
 
 The step-size planner lives in ``vropt.planner``.
 """

@@ -14,13 +14,15 @@ from vropt.cli import load_experiment_spec
 from vropt.cli import main as cli_main
 from vropt.data import SyntheticSpec, generate_synthetic, write_libsvm
 from vropt.errors import ConfigError
-from vropt.model import NonconvexLogisticModel
+from vropt.model import LogisticModel, NonconvexLogisticModel
+from vropt.optim import ALGORITHMS, run
 from vropt.planner import eta_max_nonconvex
 from vropt.svgplot import render_line_plot
 
 from helpers import make_sparse_dataset
 
 SC_SYNTH = SyntheticSpec(n=200, d=10, spread=1.5, noise_rate=0.1, seed=42)
+BUDGET_SYNTH = SyntheticSpec(n=60, d=8, spread=1.5, noise_rate=0.1, seed=3)
 
 
 def sc_spec(out_dir, optimizers, passes=30, seeds=(0,)):
@@ -82,6 +84,22 @@ class TestRunExperiment:
             _, cols = bench.read_trace_csv(tmp_path / f"{label}_seed0.csv")
             assert len(cols["effective_pass"]) == spec.passes + 1
             assert np.all(np.diff(cols["effective_pass"]) >= 0)
+
+    @pytest.mark.parametrize("m_rule", ["n", "5"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_cell_stops_on_its_budget(self, algorithm, m_rule):
+        """A grid cell's IFO budget of ``passes`` n ends its run: the run
+        stops early, within one pass of the budget, with one trace row per
+        pass and one for x_0."""
+        model = LogisticModel(generate_synthetic(BUDGET_SYNTH), lam=0.02)
+        scale = "eta_over_Lbar" if algorithm == "D2S" else "eta_over_L"
+        setup = bench.OptimizerSetup(algorithm, "cell", m_rule=m_rule,
+                                     **{scale: 0.5})
+        passes, n = 4, model.n
+        result = run(model, setup.build_config(model, passes, 0, 1.0))
+        assert result.stopped_early
+        assert passes * n <= result.total_ifo <= (passes + 1) * n
+        assert len(result.trace) == passes + 1
 
     def test_summary_ifo_matches_trace(self, tmp_path):
         spec = sc_spec(tmp_path, [

@@ -26,7 +26,10 @@ sits in; the texts, grids and configs always come from this tree):
   of several blocks whose rows end with each of the seven line ends in
   turn, each parsed from str and from bytes;
 - each CSV and ``summary.json`` that ``vropt run demos/config/race.ini``
-  writes (``metadata.json`` holds timings and is left out).
+  writes (``metadata.json`` holds timings and is left out), and those of
+  race.ini's grid with cells added for GD, SARAH-LI and D2S, the
+  algorithms it leaves out (``OTHER_CELLS``), so that every algorithm's
+  bench cells are hashed.
 
 ``--parent REV`` exports REV with ``git archive`` into a temporary
 directory and runs this script against REV's ``src/`` and this tree's, with
@@ -176,16 +179,38 @@ def parse_lines():
             yield _line(f"parse/{tag}/{name}", getattr(ds, name))
 
 
+# race.ini's grid with a cell of each algorithm that it leaves out
+OTHER_CELLS = """
+[optimizer.gd]
+algorithm = GD
+eta_over_L = 0.5
+
+[optimizer.sarah_li]
+algorithm = SARAH-LI
+eta_over_L = 0.5
+m = n
+
+[optimizer.d2s]
+algorithm = D2S
+eta_over_Lbar = 0.5
+m = sqrt_n
+"""
+
+
 def race_lines():
-    with tempfile.TemporaryDirectory() as out:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["run", str(ROOT / "demos/config/race.ini"),
-                             "--out", out])
-        yield _line("race/exit", code)
-        for path in sorted(Path(out).rglob("*")):
-            if path.suffix == ".csv" or path.name == "summary.json":
-                yield _line(f"race/{path.relative_to(out)}",
-                            path.read_bytes())
+    race = ROOT / "demos/config/race.ini"
+    with tempfile.TemporaryDirectory() as tmp:
+        every = Path(tmp) / "every.ini"
+        every.write_text(race.read_text() + OTHER_CELLS)
+        for tag, config in (("race", race), ("every", every)):
+            out = Path(tmp) / tag
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(["run", str(config), "--out", str(out)])
+            yield _line(f"{tag}/exit", code)
+            for path in sorted(out.rglob("*")):
+                if path.suffix == ".csv" or path.name == "summary.json":
+                    yield _line(f"{tag}/{path.relative_to(out)}",
+                                path.read_bytes())
 
 
 def compare(rev: str) -> int:
