@@ -48,7 +48,7 @@ typedef struct {
     uint64_t idx_rng[3], snap_rng[3];
     /* loop position, advanced in place */
     int64_t updates, inner, count;
-    /* snapshots fall due on a coin of 1 in coin_m (0: no coin) or every
+    /* snapshots fall due with chance 1/coin_m (0: no coin) or every
        period steps (-1: never); the limits: Python takes the pass once
        updates == until (-1: never) or when its IFOs take count to stop_at */
     int64_t coin_m, period, until, stop_at;
